@@ -18,70 +18,140 @@ type UseSite struct {
 	OpIdx int // index as in ir.Instr.UseAt
 }
 
-type useKey struct {
-	ins *ir.Instr
-	op  int
-}
-
 // Chains is the UD/DU chain structure for a single function.
+//
+// Storage is dense, indexed by ir.Instr.ID. Every operand of every
+// instruction placed at Build time owns one slot of ud; the slots of
+// instruction id are udOff[id] to udOff[id+1]. All UD lists are sub-slices
+// of one backing array, and all DU lists of another, each capped at its own
+// length so the appends of RemoveSameRegExt copy instead of overwriting a
+// neighbour's list.
 type Chains struct {
 	Fn *ir.Func
 
-	ud      map[useKey][]dataflow.DefSite
-	du      map[*ir.Instr][]UseSite
+	// placed[id] is the instruction that held ID id at Build time, nil
+	// once RemoveSameRegExt deletes it. Every lookup checks it, so an
+	// instruction created (or moved in) after Build has no chains.
+	placed  []*ir.Instr
+	udOff   []int32
+	ud      [][]dataflow.DefSite // operand slot -> reaching definitions
+	du      [][]UseSite          // instruction ID -> uses it reaches; nil when none
 	duParam [][]UseSite
 }
 
 // Build computes fresh chains for fn.
 func Build(fn *ir.Func, info *cfg.Info) *Chains {
 	r := dataflow.ComputeReaching(fn, info)
+	n := fn.NumInstrIDs()
 	c := &Chains{
 		Fn:      fn,
-		ud:      map[useKey][]dataflow.DefSite{},
-		du:      map[*ir.Instr][]UseSite{},
+		placed:  make([]*ir.Instr, n),
+		udOff:   make([]int32, n+1),
+		du:      make([][]UseSite, n),
 		duParam: make([][]UseSite, fn.NParams()),
 	}
-	for _, b := range fn.Blocks {
-		in, ok := r.In[b]
-		if !ok {
+	fn.ForEachInstr(func(_ *ir.Block, ins *ir.Instr) {
+		c.placed[ins.ID] = ins
+		c.udOff[ins.ID+1] = int32(ins.NumUses())
+	})
+	for id := 0; id < n; id++ {
+		c.udOff[id+1] += c.udOff[id]
+	}
+	slots := int(c.udOff[n])
+	c.ud = make([][]dataflow.DefSite, slots)
+
+	// Walk the function, appending the definitions reaching each use to
+	// one backing array. end[slot] marks where the use's list stops; it
+	// starts where the previous use in walk order stopped. Count each
+	// definition's uses on the way.
+	defs := make([]dataflow.DefSite, 0, slots)
+	end := make([]int32, slots)
+	nDU := make([]int32, len(r.Defs))
+	r.Walk(func(ins *ir.Instr, reaching dataflow.BitSet) {
+		ins.ForEachUse(func(k int, reg ir.Reg) {
+			for _, dn := range r.ByReg[reg] {
+				if reaching.Has(dn) {
+					defs = append(defs, r.Defs[dn])
+					nDU[dn]++
+				}
+			}
+			end[int(c.udOff[ins.ID])+k] = int32(len(defs))
+		})
+	})
+
+	// Carve the DU lists out of one backing array, in definition-number
+	// order, then replay the walk to fill them: each definition lists its
+	// uses in walk order.
+	uses := make([]UseSite, len(defs))
+	next := make([]int32, len(r.Defs)) // definition number -> fill position
+	at := int32(0)
+	for dn, cnt := range nDU {
+		next[dn] = at
+		if cnt == 0 {
 			continue
 		}
-		cur := in.Clone()
-		for _, ins := range b.Instrs {
-			ins.ForEachUse(func(k int, reg ir.Reg) {
-				var defs []dataflow.DefSite
-				for _, dn := range r.ByReg[reg] {
-					if cur.Has(dn) {
-						site := r.Defs[dn]
-						defs = append(defs, site)
-						use := UseSite{ins, k}
-						if site.IsParam() {
-							c.duParam[site.Param] = append(c.duParam[site.Param], use)
-						} else {
-							c.du[site.Instr] = append(c.du[site.Instr], use)
-						}
-					}
-				}
-				c.ud[useKey{ins, k}] = defs
-			})
-			if ins.HasDst() {
-				for _, other := range r.ByReg[ins.Dst] {
-					cur.Clear(other)
-				}
-				cur.Set(r.DefNum[ins])
-			}
+		list := uses[at : at+cnt : at+cnt]
+		if d := r.Defs[dn]; d.IsParam() {
+			c.duParam[d.Param] = list
+		} else {
+			c.du[d.Instr.ID] = list
 		}
+		at += cnt
 	}
+	start := int32(0)
+	fn.ForEachInstr(func(_ *ir.Block, ins *ir.Instr) {
+		for k := 0; k < ins.NumUses(); k++ {
+			stop := end[int(c.udOff[ins.ID])+k]
+			if start == stop {
+				continue
+			}
+			list := defs[start:stop:stop]
+			c.ud[int(c.udOff[ins.ID])+k] = list
+			for _, d := range list {
+				dn := d.Param // parameters are definitions 0..NParams-1
+				if !d.IsParam() {
+					dn = r.DefNum[d.Instr.ID]
+				}
+				uses[next[dn]] = UseSite{ins, k}
+				next[dn]++
+			}
+			start = stop
+		}
+	})
 	return c
+}
+
+// slot returns the ud index of operand op of ins, or false when ins was not
+// placed at Build time (or has since been removed) or has no such operand.
+func (c *Chains) slot(ins *ir.Instr, op int) (int, bool) {
+	if !c.tracked(ins) || op < 0 {
+		return 0, false
+	}
+	k := int(c.udOff[ins.ID]) + op
+	return k, k < int(c.udOff[ins.ID+1])
+}
+
+// tracked reports whether ins is the instruction the chains hold under its
+// ID.
+func (c *Chains) tracked(ins *ir.Instr) bool {
+	return ins.ID >= 0 && ins.ID < len(c.placed) && c.placed[ins.ID] == ins
 }
 
 // UD returns the definitions reaching operand op of ins.
 func (c *Chains) UD(ins *ir.Instr, op int) []dataflow.DefSite {
-	return c.ud[useKey{ins, op}]
+	if k, ok := c.slot(ins, op); ok {
+		return c.ud[k]
+	}
+	return nil
 }
 
 // DU returns the uses reached by the definition made by ins.
-func (c *Chains) DU(ins *ir.Instr) []UseSite { return c.du[ins] }
+func (c *Chains) DU(ins *ir.Instr) []UseSite {
+	if c.tracked(ins) {
+		return c.du[ins.ID]
+	}
+	return nil
+}
 
 // DUOfParam returns the uses reached by parameter p's entry definition.
 func (c *Chains) DUOfParam(p int) []UseSite { return c.duParam[p] }
@@ -134,44 +204,47 @@ func (c *Chains) RemoveSameRegExt(e *ir.Instr) {
 	eDef := dataflow.DefSite{Instr: e, Param: -1, Reg: e.Dst}
 	eUse := UseSite{e, 0}
 
-	feeding := append([]dataflow.DefSite(nil), c.ud[useKey{e, 0}]...)
+	feeding := append([]dataflow.DefSite(nil), c.UD(e, 0)...)
 	feeding = removeDef(feeding, eDef) // drop a self-loop, if any
-	downstream := append([]UseSite(nil), c.du[e]...)
+	downstream := append([]UseSite(nil), c.DU(e)...)
 	downstream = removeUse(downstream, eUse)
 
 	// Re-point each downstream use at the feeding definitions.
 	for _, u := range downstream {
-		key := useKey{u.Instr, u.OpIdx}
-		ds := removeDef(c.ud[key], eDef)
+		k, ok := c.slot(u.Instr, u.OpIdx)
+		if !ok {
+			continue
+		}
+		ds := removeDef(c.ud[k], eDef)
 		for _, d := range feeding {
 			if !containsDef(ds, d) {
 				ds = append(ds, d)
 			}
 		}
-		c.ud[key] = ds
+		c.ud[k] = ds
 	}
 	// Extend each feeding definition's DU set with the downstream uses and
 	// drop its edge to e itself.
 	for _, d := range feeding {
-		var us []UseSite
+		var us *[]UseSite
 		if d.IsParam() {
-			us = c.duParam[d.Param]
+			us = &c.duParam[d.Param]
+		} else if c.tracked(d.Instr) {
+			us = &c.du[d.Instr.ID]
 		} else {
-			us = c.du[d.Instr]
+			continue
 		}
-		us = removeUse(us, eUse)
+		*us = removeUse(*us, eUse)
 		for _, u := range downstream {
-			if !containsUse(us, u) {
-				us = append(us, u)
+			if !containsUse(*us, u) {
+				*us = append(*us, u)
 			}
 		}
-		if d.IsParam() {
-			c.duParam[d.Param] = us
-		} else {
-			c.du[d.Instr] = us
-		}
 	}
-	delete(c.du, e)
-	delete(c.ud, useKey{e, 0})
+	if k, ok := c.slot(e, 0); ok {
+		c.ud[k] = nil
+		c.du[e.ID] = nil
+		c.placed[e.ID] = nil
+	}
 	e.Blk.Remove(e)
 }

@@ -2,6 +2,7 @@ package chains
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"signext/internal/cfg"
@@ -289,5 +290,123 @@ func TestRemovalSequenceMatchesRebuild(t *testing.T) {
 		c.RemoveSameRegExt(ext)
 		fresh := Build(fn, cfg.Compute(fn))
 		compareChains(t, fn, c, fresh)
+	}
+}
+
+// TestLookupsOfUntrackedInstructions asks the chains about instructions
+// they do not hold: one created after Build (its ID lies beyond the
+// tables), one created before Build but never placed, and a clone's copy of
+// a tracked instruction (same ID, different instruction). Each reads as
+// chain-less, without a panic, and DropUDEdge reports nothing to drop.
+func TestLookupsOfUntrackedInstructions(t *testing.T) {
+	fn, _, add, _ := buildLoop()
+	unplaced := fn.NewInstr(ir.OpAdd)
+	c := Build(fn, cfg.Compute(fn))
+
+	late := fn.NewInstr(ir.OpAdd)
+	late.Dst, late.Srcs, late.NSrcs = add.Dst, add.Srcs, add.NSrcs
+	if late.ID < len(c.placed) {
+		t.Fatalf("instruction made after Build has ID %d inside the %d-entry table", late.ID, len(c.placed))
+	}
+	clone := fn.Clone().Blocks[1].Instrs[0]
+	if clone.ID != add.ID || clone == add {
+		t.Fatalf("clone's first loop instruction %v is not a copy of %v", clone, add)
+	}
+	for _, ins := range []*ir.Instr{late, unplaced, clone} {
+		for op := -1; op <= 3; op++ {
+			if got := c.UD(ins, op); got != nil {
+				t.Errorf("UD(%v, %d) = %v, want nil", ins, op, got)
+			}
+			if c.DropUDEdge(ins, op) {
+				t.Errorf("DropUDEdge(%v, %d) dropped an edge", ins, op)
+			}
+		}
+		if got := c.DU(ins); got != nil {
+			t.Errorf("DU(%v) = %v, want nil", ins, got)
+		}
+	}
+	// A tracked instruction's operand past its count has no chain either.
+	if got := c.UD(add, add.NumUses()); got != nil {
+		t.Errorf("UD past the last operand = %v, want nil", got)
+	}
+	if err := c.Check(); err != nil {
+		t.Fatalf("lookups damaged the chains: %v", err)
+	}
+}
+
+// TestRemovalGrowsListWithoutClobberingNeighbour removes an extension fed by
+// two definitions and read by two uses. Each use then needs two definitions
+// where it had one, and each definition two uses where it had one. The
+// lists sit next to each other in their shared backing arrays: growing one
+// must not overwrite the next.
+//
+//	b0: br p0 < p1 -> b1, b2
+//	b1: x = 1;  z = p0 + p1;  print z;  jmp b3
+//	b2: x = 2;  jmp b3
+//	b3: x = ext.32 x
+//	    y = add x, p0      <- x: {ext} becomes {x=1, x=2}; p0 must stay {p0}
+//	    print x            <- DU(x=1) grows from {ext} to two; DU(z) must stay
+//	    print y
+func TestRemovalGrowsListWithoutClobberingNeighbour(t *testing.T) {
+	b := ir.NewFunc("grow", ir.Param{W: ir.W32}, ir.Param{W: ir.W32})
+	x := b.Fn.NewReg()
+	b1, b2, b3 := b.NewBlock(), b.NewBlock(), b.NewBlock()
+	b.Br(ir.W32, ir.CondLT, ir.Reg(0), ir.Reg(1), b1, b2)
+	b.SetBlock(b1)
+	b.ConstTo(ir.W32, x, 1)
+	z := b.Add(ir.W32, ir.Reg(0), ir.Reg(1))
+	sum := b.Block().Instrs[len(b.Block().Instrs)-1]
+	printZ := b.Print(ir.W32, z)
+	b.Jmp(b3)
+	b.SetBlock(b2)
+	b.ConstTo(ir.W32, x, 2)
+	b.Jmp(b3)
+	b.SetBlock(b3)
+	ext := b.Ext(ir.W32, x)
+	y := b.Add(ir.W32, x, ir.Reg(0))
+	add := b.Block().Instrs[len(b.Block().Instrs)-1]
+	b.Print(ir.W32, x)
+	b.Print(ir.W32, y)
+	b.Ret(ir.NoReg)
+	fn := b.Fn
+
+	c := Build(fn, cfg.Compute(fn))
+	if len(c.UD(add, 0)) != 1 || len(c.UD(add, 1)) != 1 {
+		t.Fatalf("before removal: UD(add) = %v, %v", c.UD(add, 0), c.UD(add, 1))
+	}
+	c.RemoveSameRegExt(ext)
+	if defs := c.UD(add, 1); len(defs) != 1 || !defs[0].IsParam() || defs[0].Param != 0 {
+		t.Fatalf("neighbouring use clobbered: UD(add, 1) = %v, want parameter 0", defs)
+	}
+	if defs := c.UD(add, 0); len(defs) != 2 {
+		t.Fatalf("UD(add, 0) = %v, want both constants", defs)
+	}
+	for _, d := range c.UD(add, 0) {
+		if uses := c.DU(d.Instr); len(uses) != 2 {
+			t.Fatalf("DU(%v) = %v, want the add and the print", d.Instr, uses)
+		}
+	}
+	if uses := c.DU(sum); len(uses) != 1 || uses[0].Instr != printZ {
+		t.Fatalf("neighbouring definition clobbered: DU(z) = %v, want its print", uses)
+	}
+	if err := c.Check(); err != nil {
+		t.Fatalf("patched chains inconsistent: %v", err)
+	}
+	compareChains(t, fn, c, Build(fn, cfg.Compute(fn)))
+}
+
+// TestCheckFlagsRemovedButReferencedInstruction removes a definition from
+// its block behind the chains' back. The chains still reference it, in its
+// own entries and in the UD lists of its uses, and Check must say so.
+func TestCheckFlagsRemovedButReferencedInstruction(t *testing.T) {
+	fn, _, add, _ := buildLoop()
+	c := Build(fn, cfg.Compute(fn))
+	if err := c.Check(); err != nil {
+		t.Fatalf("fresh chains rejected: %v", err)
+	}
+	add.Blk.Remove(add)
+	err := c.Check()
+	if err == nil || !strings.Contains(err.Error(), "not in function") {
+		t.Fatalf("Check after removing a referenced instruction: %v, want a not-in-function error", err)
 	}
 }

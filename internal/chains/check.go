@@ -14,11 +14,15 @@ import (
 // guard verifier runs Check at phase boundaries to catch chain corruption
 // before it licenses an unsound elimination.
 func (c *Chains) Check() error {
-	inFn := map[*ir.Instr]bool{}
-	c.Fn.ForEachInstr(func(_ *ir.Block, ins *ir.Instr) { inFn[ins] = true })
+	inFn := make([]*ir.Instr, c.Fn.NumInstrIDs()) // ID -> instruction placed under it
+	c.Fn.ForEachInstr(func(_ *ir.Block, ins *ir.Instr) {
+		if ins.ID >= 0 && ins.ID < len(inFn) {
+			inFn[ins.ID] = ins
+		}
+	})
 
 	place := func(ins *ir.Instr) error {
-		if !inFn[ins] {
+		if ins.ID < 0 || ins.ID >= len(inFn) || inFn[ins.ID] != ins {
 			return fmt.Errorf("chains: %s/%s not in function %s", ins, ins.Blk, c.Fn.Name)
 		}
 		return nil
@@ -27,36 +31,43 @@ func (c *Chains) Check() error {
 		if d.IsParam() {
 			return c.duParam[d.Param]
 		}
-		return c.du[d.Instr]
+		return c.DU(d.Instr)
 	}
 
-	// UD -> DU direction.
-	for key, defs := range c.ud {
-		if err := place(key.ins); err != nil {
+	// UD -> DU direction: every operand slot of every instruction the
+	// chains hold.
+	for id, ins := range c.placed {
+		lo, hi := int(c.udOff[id]), int(c.udOff[id+1])
+		if ins == nil || lo == hi {
+			continue
+		}
+		if err := place(ins); err != nil {
 			return err
 		}
-		if key.op < 0 || key.op >= key.ins.NumUses() {
-			return fmt.Errorf("chains: UD entry for out-of-range operand %d of %s", key.op, key.ins)
+		if hi-lo > ins.NumUses() {
+			return fmt.Errorf("chains: UD entry for out-of-range operand %d of %s", hi-lo-1, ins)
 		}
-		use := UseSite{key.ins, key.op}
-		for _, d := range defs {
-			if !d.IsParam() {
-				if err := place(d.Instr); err != nil {
-					return err
+		for op, defs := range c.ud[lo:hi] {
+			use := UseSite{ins, op}
+			for _, d := range defs {
+				if !d.IsParam() {
+					if err := place(d.Instr); err != nil {
+						return err
+					}
+					if d.Instr.Dst != d.Reg {
+						return fmt.Errorf("chains: def site %s claims reg %s", d.Instr, d.Reg)
+					}
+				} else if d.Param < 0 || d.Param >= c.Fn.NParams() {
+					return fmt.Errorf("chains: def site for out-of-range param %d", d.Param)
 				}
-				if d.Instr.Dst != d.Reg {
-					return fmt.Errorf("chains: def site %s claims reg %s", d.Instr, d.Reg)
+				if d.Reg != ins.UseAt(op) {
+					return fmt.Errorf("chains: UD def of %s feeds operand %d of %s reading %s",
+						d.Reg, op, ins, ins.UseAt(op))
 				}
-			} else if d.Param < 0 || d.Param >= c.Fn.NParams() {
-				return fmt.Errorf("chains: def site for out-of-range param %d", d.Param)
-			}
-			if d.Reg != key.ins.UseAt(key.op) {
-				return fmt.Errorf("chains: UD def of %s feeds operand %d of %s reading %s",
-					d.Reg, key.op, key.ins, key.ins.UseAt(key.op))
-			}
-			if !containsUse(duOf(d), use) {
-				return fmt.Errorf("chains: UD edge %v -> operand %d of %s lacks DU back-edge",
-					d.Reg, key.op, key.ins)
+				if !containsUse(duOf(d), use) {
+					return fmt.Errorf("chains: UD edge %v -> operand %d of %s lacks DU back-edge",
+						d.Reg, op, ins)
+				}
 			}
 		}
 	}
@@ -70,13 +81,17 @@ func (c *Chains) Check() error {
 			if u.OpIdx < 0 || u.OpIdx >= u.Instr.NumUses() {
 				return fmt.Errorf("chains: DU entry for out-of-range operand %d of %s", u.OpIdx, u.Instr)
 			}
-			if !containsDef(c.ud[useKey{u.Instr, u.OpIdx}], d) {
+			if !containsDef(c.UD(u.Instr, u.OpIdx), d) {
 				return fmt.Errorf("chains: DU edge to operand %d of %s lacks UD back-edge", u.OpIdx, u.Instr)
 			}
 		}
 		return nil
 	}
-	for ins, uses := range c.du {
+	for id, uses := range c.du {
+		ins := c.placed[id]
+		if ins == nil || uses == nil {
+			continue
+		}
 		if err := place(ins); err != nil {
 			return err
 		}
@@ -98,11 +113,10 @@ func (c *Chains) Check() error {
 // exactly this class of chain damage; it reports whether there was an edge
 // to drop.
 func (c *Chains) DropUDEdge(ins *ir.Instr, op int) bool {
-	key := useKey{ins, op}
-	defs := c.ud[key]
-	if len(defs) == 0 {
+	k, ok := c.slot(ins, op)
+	if !ok || len(c.ud[k]) == 0 {
 		return false
 	}
-	c.ud[key] = defs[1:]
+	c.ud[k] = c.ud[k][1:]
 	return true
 }

@@ -4,7 +4,11 @@
 // per-register demanded-width analysis of the paper's first algorithm.
 package dataflow
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"signext/internal/ir"
+)
 
 // BitSet is a fixed-capacity bit vector.
 type BitSet []uint64
@@ -106,4 +110,24 @@ func (s BitSet) ForEach(f func(i int)) {
 			w &= w - 1
 		}
 	}
+}
+
+// newBlockSets returns k tables of bitsets indexed by block ID, each set able
+// to hold n bits, all carved from one allocation.
+func newBlockSets(fn *ir.Func, k, n int) [][]BitSet {
+	nb := 0
+	for _, b := range fn.Blocks {
+		nb = max(nb, b.ID+1)
+	}
+	w := (n + 63) / 64
+	words := make(BitSet, k*nb*w)
+	sets := make([]BitSet, k*nb)
+	for i := range sets {
+		sets[i] = words[i*w : (i+1)*w : (i+1)*w]
+	}
+	tables := make([][]BitSet, k)
+	for t := range tables {
+		tables[t] = sets[t*nb : (t+1)*nb : (t+1)*nb]
+	}
+	return tables
 }

@@ -140,16 +140,16 @@ func TestLivenessLoop(t *testing.T) {
 
 	info := cfg.Compute(b.Fn)
 	lv := ComputeLiveness(b.Fn, info)
-	if !lv.In[loop].Has(int(i)) {
+	if !lv.In[loop.ID].Has(int(i)) {
 		t.Error("i must be live into the loop")
 	}
-	if lv.In[loop].Has(int(tt)) {
+	if lv.In[loop.ID].Has(int(tt)) {
 		t.Error("t must not be live into the loop (defined before use)")
 	}
 	if !lv.LiveAfter(add, i) {
 		t.Error("i is live after the add")
 	}
-	if lv.Out[exit].Count() != 0 {
+	if lv.Out[exit.ID].Count() != 0 {
 		t.Error("nothing is live out of the exit block")
 	}
 }

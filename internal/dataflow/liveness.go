@@ -8,18 +8,17 @@ import (
 // Liveness holds per-block live-register sets.
 type Liveness struct {
 	Fn      *ir.Func
-	In, Out map[*ir.Block]BitSet // live registers at block entry/exit
+	In, Out []BitSet // block ID -> live registers at block entry/exit
 }
 
 // ComputeLiveness solves backward liveness over the registers of fn.
 func ComputeLiveness(fn *ir.Func, info *cfg.Info) *Liveness {
-	lv := &Liveness{Fn: fn, In: map[*ir.Block]BitSet{}, Out: map[*ir.Block]BitSet{}}
 	n := fn.NReg
-	use := map[*ir.Block]BitSet{}
-	def := map[*ir.Block]BitSet{}
+	sets := newBlockSets(fn, 4, n)
+	use, def := sets[0], sets[1]
+	lv := &Liveness{Fn: fn, In: sets[2], Out: sets[3]}
 	for _, b := range fn.Blocks {
-		u := NewBitSet(n)
-		d := NewBitSet(n)
+		u, d := use[b.ID], def[b.ID]
 		for _, ins := range b.Instrs {
 			ins.ForEachUse(func(_ int, r ir.Reg) {
 				if !d.Has(int(r)) {
@@ -30,9 +29,6 @@ func ComputeLiveness(fn *ir.Func, info *cfg.Info) *Liveness {
 				d.Set(int(ins.Dst))
 			}
 		}
-		use[b], def[b] = u, d
-		lv.In[b] = NewBitSet(n)
-		lv.Out[b] = NewBitSet(n)
 	}
 	order := info.PostOrder()
 	changed := true
@@ -40,16 +36,16 @@ func ComputeLiveness(fn *ir.Func, info *cfg.Info) *Liveness {
 	for changed {
 		changed = false
 		for _, b := range order {
-			out := lv.Out[b]
+			out := lv.Out[b.ID]
 			out.Reset()
 			for _, s := range b.Succs {
-				out.UnionWith(lv.In[s])
+				out.UnionWith(lv.In[s.ID])
 			}
 			tmp.CopyFrom(out)
-			tmp.AndNotWith(def[b])
-			tmp.UnionWith(use[b])
-			if !tmp.Equal(lv.In[b]) {
-				lv.In[b].CopyFrom(tmp)
+			tmp.AndNotWith(def[b.ID])
+			tmp.UnionWith(use[b.ID])
+			if !tmp.Equal(lv.In[b.ID]) {
+				lv.In[b.ID].CopyFrom(tmp)
 				changed = true
 			}
 		}
@@ -76,5 +72,5 @@ func (lv *Liveness) LiveAfter(ins *ir.Instr, reg ir.Reg) bool {
 			return false
 		}
 	}
-	return lv.Out[b].Has(int(reg))
+	return lv.Out[b.ID].Has(int(reg))
 }

@@ -130,51 +130,42 @@ func verifyExtWidths(fn *ir.Func) error {
 // not have — the classic symptom of a bad elimination order.
 func verifyDefBeforeUse(fn *ir.Func, info *cfg.Info) error {
 	r := dataflow.ComputeReaching(fn, info)
-	for _, b := range fn.Blocks {
-		in, ok := r.In[b]
-		if !ok {
-			continue // unreachable: the frontends may leave dead blocks
+	var err error
+	r.Walk(func(ins *ir.Instr, reaching dataflow.BitSet) {
+		if err != nil || ins.Op == ir.OpExtDummy {
+			return // markers assert, they do not read
 		}
-		cur := in.Clone()
-		for _, ins := range b.Instrs {
-			var missing ir.Reg = ir.NoReg
-			ins.ForEachUse(func(k int, reg ir.Reg) {
-				if missing != ir.NoReg {
+		ins.ForEachUse(func(_ int, reg ir.Reg) {
+			if err != nil {
+				return
+			}
+			for _, dn := range r.ByReg[reg] {
+				if reaching.Has(dn) {
 					return
 				}
-				if ins.Op == ir.OpExtDummy {
-					return // markers assert, they do not read
-				}
-				any := false
-				for _, dn := range r.ByReg[reg] {
-					if cur.Has(dn) {
-						any = true
-						break
-					}
-				}
-				if !any {
-					missing = reg
-				}
-			})
-			if missing != ir.NoReg {
-				return fmt.Errorf("%s/%s: %s reads %s with no reaching definition",
-					fn.Name, b, ins, missing)
 			}
-			if ins.HasDst() {
-				for _, other := range r.ByReg[ins.Dst] {
-					cur.Clear(other)
-				}
-				cur.Set(r.DefNum[ins])
-			}
-		}
-	}
-	return nil
+			err = fmt.Errorf("%s/%s: %s reads %s with no reaching definition",
+				fn.Name, ins.Blk, ins, reg)
+		})
+	})
+	return err
 }
 
-// VerifyProgram runs VerifyFunc over every function.
+// VerifyProgram runs VerifyFunc over every function and checks that every
+// global access names one of the program's global cells.
 func VerifyProgram(p *ir.Program, machine ir.Machine) error {
 	for _, fn := range p.Funcs {
 		if err := VerifyFunc(fn, machine); err != nil {
+			return err
+		}
+		var err error
+		fn.ForEachInstr(func(b *ir.Block, ins *ir.Instr) {
+			if err == nil && (ins.Op == ir.OpLoadG || ins.Op == ir.OpStoreG) &&
+				(ins.Const < 0 || ins.Const >= int64(p.NGlobals)) {
+				err = fmt.Errorf("%s/%s: %s addresses global %d of %d", fn.Name, b, ins, ins.Const, p.NGlobals)
+			}
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -181,10 +181,10 @@ type bcFunc struct {
 // bcState is bcFunc plus per-run state that depends on Options.
 type bcState struct {
 	bf      *bcFunc
-	cost    []int64      // per orig index; nil when Options.Cost is nil
-	segCost []int64      // per segment
-	prof    [][2]int64   // dense branch counters; nil when !Options.Profile
-	entered bool         // function executed at least once this run
+	cost    []int64    // per orig index; nil when Options.Cost is nil
+	segCost []int64    // per segment
+	prof    [][2]int64 // dense branch counters; nil when !Options.Profile
+	entered bool       // function executed at least once this run
 }
 
 // bcFrame is one threaded call frame. Pooled on the machine: it escapes into

@@ -141,6 +141,22 @@ func TestVerifyRejectsMisplacedTerminator(t *testing.T) {
 	}
 }
 
+func TestVerifyRejectsForeignInstrID(t *testing.T) {
+	fn := buildLoopFunc()
+	// An instruction made by a bigger function carries an ID past this
+	// function's range, which per-instruction tables are not sized for.
+	big := buildLoopFunc()
+	for i := 0; i < 10; i++ {
+		big.NewInstr(OpConst)
+	}
+	ins := big.NewInstr(OpConst)
+	ins.Dst = fn.NewReg()
+	fn.Entry().InsertAt(0, ins)
+	if err := fn.Verify(); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("verify accepted instr ID %d of a function with %d IDs: %v", ins.ID, fn.NumInstrIDs(), err)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	fn := buildLoopFunc()
 	cl := fn.Clone()

@@ -24,6 +24,10 @@ func (f *Func) Verify() error {
 			if seenID[ins.ID] {
 				return fmt.Errorf("%s/%s: duplicate instr ID %d", f.Name, b, ins.ID)
 			}
+			if ins.ID < 0 || ins.ID >= f.nextIID {
+				// Analyses size dense per-instruction tables by NumInstrIDs.
+				return fmt.Errorf("%s/%s: instr ID %d outside [0, %d)", f.Name, b, ins.ID, f.nextIID)
+			}
 			seenID[ins.ID] = true
 			if ins.IsTerminator() != (k == len(b.Instrs)-1) {
 				return fmt.Errorf("%s/%s: terminator misplaced: %s", f.Name, b, ins)

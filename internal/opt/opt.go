@@ -9,7 +9,6 @@ package opt
 
 import (
 	"signext/internal/cfg"
-	"signext/internal/chains"
 	"signext/internal/dataflow"
 	"signext/internal/ir"
 )
@@ -27,14 +26,21 @@ type Stats struct {
 // Run applies the full general-optimization pipeline to fn until it stops
 // changing (bounded number of rounds).
 func Run(fn *ir.Func) Stats {
+	// The passes rewrite, move and delete instructions but never touch a
+	// CFG edge, so one control-flow analysis serves every round.
+	info := cfg.Compute(fn)
 	var total Stats
 	for round := 0; round < 4; round++ {
 		var st Stats
-		st.Folded = constFold(fn)
+		st.Folded = constFold(fn, info)
 		st.Copies = localCopyProp(fn)
 		st.CSE = localCSE(fn)
-		st.Hoisted = licm(fn)
-		st.Dead = dce(fn)
+		var lv *dataflow.Liveness
+		st.Hoisted, lv = licm(fn, info)
+		if lv == nil {
+			lv = dataflow.ComputeLiveness(fn, info)
+		}
+		st.Dead = dce(fn, lv)
 		total.Folded += st.Folded
 		total.Copies += st.Copies
 		total.CSE += st.CSE
@@ -51,33 +57,37 @@ func Run(fn *ir.Func) Stats {
 // constants, using global reaching definitions so constants propagate across
 // blocks. Results of W-bit ops are materialized as properly extended
 // constants, which is what a real code generator emits and is always at
-// least as defined as the original dirty register.
-func constFold(fn *ir.Func) int {
-	info := cfg.Compute(fn)
-	ch := chains.Build(fn, info)
+// least as defined as the original dirty register. A folded instruction
+// keeps its destination, so the reaching definitions stay valid and later
+// uses see it as a constant in the same pass.
+func constFold(fn *ir.Func, info *cfg.Info) int {
+	r := dataflow.ComputeReaching(fn, info)
+	var reaching dataflow.BitSet // definitions reaching the instruction being folded
 	constOf := func(ins *ir.Instr, op int) (int64, bool) {
-		defs := ch.UD(ins, op)
-		if len(defs) == 0 {
-			return 0, false
-		}
 		var v int64
-		for k, d := range defs {
+		found := false
+		for _, dn := range r.ByReg[ins.UseAt(op)] {
+			if !reaching.Has(dn) {
+				continue
+			}
+			d := r.Defs[dn]
 			if d.IsParam() || d.Instr.Op != ir.OpConst {
 				return 0, false
 			}
-			if k == 0 {
-				v = d.Instr.Const
+			if !found {
+				v, found = d.Instr.Const, true
 			} else if d.Instr.Const != v {
 				return 0, false
 			}
 		}
-		return v, true
+		return v, found
 	}
 	n := 0
-	fn.ForEachInstr(func(_ *ir.Block, ins *ir.Instr) {
+	r.Walk(func(ins *ir.Instr, defs dataflow.BitSet) {
 		if !ins.Pure() || !ins.HasDst() || ins.Op == ir.OpConst {
 			return
 		}
+		reaching = defs
 		v, ok := foldValue(ins, constOf)
 		if !ok {
 			return
@@ -208,9 +218,11 @@ func localCSE(fn *ir.Func) int {
 		cond ir.Cond
 	}
 	n := 0
+	avail := map[exprKey]ir.Reg{} // expression -> register holding it
+	deps := map[ir.Reg][]exprKey{}
 	for _, b := range fn.Blocks {
-		avail := map[exprKey]ir.Reg{} // expression -> register holding it
-		deps := map[ir.Reg][]exprKey{}
+		clear(avail)
+		clear(deps)
 		for _, ins := range b.Instrs {
 			cseable := ins.Pure() && ins.HasDst() && ins.NumUses() <= 2 && len(ins.Args) == 0
 			var k exprKey
@@ -275,15 +287,14 @@ func kindIsFloat(op ir.Op) bool {
 	return false
 }
 
-// dce removes pure instructions whose results are never observed.
-func dce(fn *ir.Func) int {
-	info := cfg.Compute(fn)
-	lv := dataflow.ComputeLiveness(fn, info)
+// dce removes pure instructions whose results are never observed, given
+// the function's current liveness.
+func dce(fn *ir.Func, lv *dataflow.Liveness) int {
 	n := 0
 	for _, b := range fn.Blocks {
 		// Walk backward with a live set so chains of dead code die in one
 		// pass.
-		live := lv.Out[b].Clone()
+		live := lv.Out[b.ID].Clone()
 		var dead []*ir.Instr
 		for k := len(b.Instrs) - 1; k >= 0; k-- {
 			ins := b.Instrs[k]
@@ -306,19 +317,39 @@ func dce(fn *ir.Func) int {
 
 // licm hoists loop-invariant pure instructions into loop preheaders — the
 // effect the paper obtains from its partial redundancy elimination phase
-// ("loop-invariant sign extensions can be moved out of the loop").
-func licm(fn *ir.Func) int {
-	info := cfg.Compute(fn)
+// ("loop-invariant sign extensions can be moved out of the loop"). It also
+// returns the liveness of the function as it leaves it, or nil when there is
+// no loop and it computed none.
+//
+// An operand is invariant in loop l when every definition reaching it lies
+// outside l and at least one does. Because a loop body is strongly
+// connected, some in-loop definition of a register reaches every in-loop
+// use of it as soon as one exists, so the first half is "the register has
+// no definition left in l". The second half is "some definition of the
+// register reaches l's header", and hoisting never changes that: every path
+// through the old position passes the preheader, and every path through the
+// preheader can take a turn around the loop. So one reaching-definitions
+// solution serves the whole pass, and no UD chains are needed.
+func licm(fn *ir.Func, info *cfg.Info) (int, *dataflow.Liveness) {
 	if !info.HasLoop() {
-		return 0
+		return 0, nil
 	}
-	ch := chains.Build(fn, info)
+	reach := dataflow.ComputeReaching(fn, info)
 	lv := dataflow.ComputeLiveness(fn, info)
 	n := 0
 	for _, l := range info.Loops {
 		pre := l.Preheader()
 		if pre == nil {
 			continue
+		}
+		hdr := reach.In[l.Header.ID]
+		reachesHeader := func(r ir.Reg) bool {
+			for _, dn := range reach.ByReg[r] {
+				if hdr.Has(dn) {
+					return true
+				}
+			}
+			return false
 		}
 		// Count in-loop definitions per register. Loop membership is a set;
 		// iterate the RPO so hoisted instructions land in the preheader in a
@@ -335,6 +366,7 @@ func licm(fn *ir.Func) int {
 				}
 			}
 		}
+		hoisted := 0
 		for _, b := range info.RPO {
 			if !l.Blocks[b] {
 				continue
@@ -349,23 +381,15 @@ func licm(fn *ir.Func) int {
 				}
 				// The destination must not be live around the back edge
 				// before this definition (no prior value observed).
-				if lv.In[l.Header].Has(int(ins.Dst)) {
+				if lv.In[l.Header.ID].Has(int(ins.Dst)) {
 					continue
 				}
-				invariant := true
-				for op := 0; op < ins.NumUses(); op++ {
-					for _, d := range ch.UD(ins, op) {
-						if !d.IsParam() && l.Blocks[d.Instr.Blk] {
-							invariant = false
-						}
-					}
-					if len(ch.UD(ins, op)) == 0 {
+				invariant := ins.NumUses() > 0 || ins.Op == ir.OpConst || ins.Op == ir.OpFConst
+				ins.ForEachUse(func(_ int, r ir.Reg) {
+					if defsInLoop[r] > 0 || !reachesHeader(r) {
 						invariant = false
 					}
-				}
-				if ins.NumUses() == 0 && ins.Op != ir.OpConst && ins.Op != ir.OpFConst {
-					invariant = false
-				}
+				})
 				if invariant {
 					hoist = append(hoist, ins)
 				}
@@ -374,21 +398,26 @@ func licm(fn *ir.Func) int {
 				b.Remove(ins)
 				term := pre.Instrs[len(pre.Instrs)-1]
 				pre.InsertBefore(term, ins)
-				n++
+				// Its register now has no definition in the loop, which
+				// makes its uses in later blocks invariant too.
+				defsInLoop[ins.Dst] = 0
+				hoisted++
 			}
 		}
-		if n > 0 {
-			// Hoisting changes reaching definitions; refresh for the next
-			// loop.
-			ch = chains.Build(fn, info)
+		if hoisted > 0 {
+			// Hoisting changes liveness; refresh it for the next loop. A
+			// loop that hoisted nothing left it intact.
+			n += hoisted
 			lv = dataflow.ComputeLiveness(fn, info)
 		}
 	}
-	return n
+	return n, lv
 }
 
 // DCE removes pure instructions whose results are never observed and
 // returns the number removed. It is exported for passes (the peephole
 // rewriter) that orphan instructions and want the same cleanup the
 // optimizer applies between its own rounds.
-func DCE(fn *ir.Func) int { return dce(fn) }
+func DCE(fn *ir.Func) int {
+	return dce(fn, dataflow.ComputeLiveness(fn, cfg.Compute(fn)))
+}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"signext/internal/codecache"
+	"signext/internal/guard"
 	"signext/internal/interp"
 	"signext/internal/ir"
 	"signext/internal/jit"
@@ -319,6 +320,11 @@ func (s *Server) compile(reqCtx context.Context, req *CompileRequest) (*CompileR
 		prog = cu.Prog
 	case req.IR != "":
 		p, err := ir.ParseProgram(req.IR)
+		if err == nil {
+			// Hand-written IR is untrusted: check it before anything runs
+			// it, the profiling interpreter included.
+			err = guard.VerifyProgram(p, machine)
+		}
 		if err != nil {
 			return &CompileResponse{Error: "ir: " + err.Error()}, http.StatusBadRequest
 		}

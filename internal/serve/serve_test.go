@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -295,5 +297,27 @@ func TestHandlerMethodChecks(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/compile", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /compile = %d, want 405", rec.Code)
+	}
+}
+
+// TestMalformedIRAnsweredBeforeProfiling posts IR that parses but would
+// crash the interpreter, with a profile run requested: a function with no
+// blocks, and a load from a global cell the program does not have. Each must
+// be answered 400 before the profiling interpreter executes it.
+func TestMalformedIRAnsweredBeforeProfiling(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"ir": "func main() {\n}", "with_profile": true}`,
+		`{"ir": "globals 1\nfunc main() {\nb0:\n\tr0 = loadg.32 g5\n\tret\n}", "with_profile": true}`,
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400; body %s", body, rec.Code, rec.Body)
+		}
+		var resp CompileResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !strings.HasPrefix(resp.Error, "ir: ") {
+			t.Fatalf("%s: want an ir: diagnostic, got %s (%v)", body, rec.Body, err)
+		}
 	}
 }

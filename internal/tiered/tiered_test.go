@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"signext/internal/codecache"
 	"signext/internal/interp"
 	"signext/internal/ir"
-	"signext/internal/codecache"
 	"signext/internal/jit"
 )
 
