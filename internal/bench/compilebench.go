@@ -55,8 +55,9 @@ type CompileBenchOptions struct {
 	// configuration (switch-dispatch tree walker vs token-threaded
 	// bytecode), recording wall times, the threaded speedup and a full
 	// result-identity check, plus a threaded run of the optimized program in
-	// the compiled-tier configuration. The ratio of interpreter nanoseconds
-	// per modelled cycle between the two tiers is the measured
+	// the compiled-tier configuration. The ratio of threaded-interpreter
+	// nanoseconds per modelled cycle between the two tiers — both on the
+	// dispatcher tiered.Manager.Invoke runs — is the measured
 	// interpreter-tier penalty; when the Tiered pass is also enabled it
 	// replaces the modelled tiered.DefaultInterpPenalty, so the recorded
 	// tier-up speedups are calibrated against this machine rather than
@@ -111,7 +112,7 @@ type CompileBenchWorkload struct {
 	InterpSpeedup    float64 `json:"interp_speedup,omitempty"`     // InterpSwitchNS / InterpThreadedNS
 	InterpCompiledNS int64   `json:"interp_compiled_ns,omitempty"` // compiled tier (optimized prog, Mode64), threaded
 	InterpIdentical  bool    `json:"interp_identical,omitempty"`   // threaded results bit-identical to switch
-	MeasuredPenalty  float64 `json:"measured_penalty,omitempty"`   // (switch ns/cycle) / (compiled ns/cycle)
+	MeasuredPenalty  float64 `json:"measured_penalty,omitempty"`   // (threaded ns/cycle) / (compiled ns/cycle)
 
 	// Peephole pass (present only when CompileBenchOptions.Peep is set): the
 	// same workload recompiled with the rule-table peephole pass enabled,
@@ -160,7 +161,7 @@ type CompileBenchResult struct {
 	TotalInterpSwNS int64   `json:"total_interp_switch_ns,omitempty"`
 	TotalInterpThNS int64   `json:"total_interp_threaded_ns,omitempty"`
 	InterpSpeedup   float64 `json:"interp_speedup,omitempty"`   // sum switch walls / sum threaded walls
-	MeasuredPenalty float64 `json:"measured_penalty,omitempty"` // suite-wide (switch ns/cycle) / (compiled ns/cycle)
+	MeasuredPenalty float64 `json:"measured_penalty,omitempty"` // suite-wide (threaded ns/cycle) / (compiled ns/cycle)
 
 	// Peephole aggregates (present only when the peep pass was enabled).
 	PeepEnabled     bool    `json:"peep_enabled,omitempty"`
@@ -393,14 +394,15 @@ func CompileBench(ws []workloads.Workload, o CompileBenchOptions) (*CompileBench
 			// time the profiling interpreter spends per modelled cycle than
 			// the interpreter running the optimized compiled form. This is
 			// what the tiered runtime's modelled InterpPenalty approximates.
-			if sw.Cycles > 0 && comp.Cycles > 0 && compNS > 0 {
-				wl.MeasuredPenalty = (float64(swNS) / float64(sw.Cycles)) /
+			// Both legs use threaded dispatch, as tiered.Manager.Invoke does.
+			if th.Cycles > 0 && comp.Cycles > 0 && compNS > 0 {
+				wl.MeasuredPenalty = (float64(thNS) / float64(th.Cycles)) /
 					(float64(compNS) / float64(comp.Cycles))
 				measuredPenalty = wl.MeasuredPenalty
 			}
 			res.TotalInterpSwNS += swNS
 			res.TotalInterpThNS += thNS
-			sumInterpCyc32 += sw.Cycles
+			sumInterpCyc32 += th.Cycles
 			sumInterpCyc64 += comp.Cycles
 			sumInterpCompNS += compNS
 		}
@@ -484,7 +486,7 @@ func CompileBench(ws []workloads.Workload, o CompileBenchOptions) (*CompileBench
 			res.InterpSpeedup = float64(res.TotalInterpSwNS) / float64(res.TotalInterpThNS)
 		}
 		if sumInterpCyc32 > 0 && sumInterpCyc64 > 0 && sumInterpCompNS > 0 {
-			res.MeasuredPenalty = (float64(res.TotalInterpSwNS) / float64(sumInterpCyc32)) /
+			res.MeasuredPenalty = (float64(res.TotalInterpThNS) / float64(sumInterpCyc32)) /
 				(float64(sumInterpCompNS) / float64(sumInterpCyc64))
 		}
 	}

@@ -152,7 +152,9 @@ func verifyDefBeforeUse(fn *ir.Func, info *cfg.Info) error {
 }
 
 // VerifyProgram runs VerifyFunc over every function and checks that every
-// global access names one of the program's global cells.
+// global access names one of the program's global cells and that every call
+// to a function of the program passes exactly its parameters. (A call to an
+// unknown function is a runtime trap, not malformed IR.)
 func VerifyProgram(p *ir.Program, machine ir.Machine) error {
 	for _, fn := range p.Funcs {
 		if err := VerifyFunc(fn, machine); err != nil {
@@ -160,9 +162,18 @@ func VerifyProgram(p *ir.Program, machine ir.Machine) error {
 		}
 		var err error
 		fn.ForEachInstr(func(b *ir.Block, ins *ir.Instr) {
-			if err == nil && (ins.Op == ir.OpLoadG || ins.Op == ir.OpStoreG) &&
-				(ins.Const < 0 || ins.Const >= int64(p.NGlobals)) {
-				err = fmt.Errorf("%s/%s: %s addresses global %d of %d", fn.Name, b, ins, ins.Const, p.NGlobals)
+			if err != nil {
+				return
+			}
+			switch ins.Op {
+			case ir.OpLoadG, ir.OpStoreG:
+				if ins.Const < 0 || ins.Const >= int64(p.NGlobals) {
+					err = fmt.Errorf("%s/%s: %s addresses global %d of %d", fn.Name, b, ins, ins.Const, p.NGlobals)
+				}
+			case ir.OpCall:
+				if callee := p.Func(ins.Callee); callee != nil && len(ins.Args) != callee.NParams() {
+					err = fmt.Errorf("%s/%s: %s passes %d arguments to %d parameters", fn.Name, b, ins, len(ins.Args), callee.NParams())
+				}
 			}
 		})
 		if err != nil {

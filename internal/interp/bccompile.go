@@ -13,57 +13,48 @@ const minInt64 = -1 << 63
 // terminator anywhere but block-last position. The walker keeps executing the
 // rest of a block after a mid-block jump; replicating that in flat code is
 // not worth it, so irregular functions stay on the walker.
+//
+// Lowering is one pass over the blocks in layout order, so an instruction's
+// orig index, a branch's dense counter and a call's table index are running
+// counts; only the block-to-pc table needs storage, indexed by Block.ID.
 func compileBC(prog *ir.Program, fn *ir.Func) *bcFunc {
+	n, nbr, ncall, nblk := 0, 0, 0, 0
 	for _, b := range fn.Blocks {
+		nblk = max(nblk, b.ID+1)
+		n += len(b.Instrs)
 		for i, ins := range b.Instrs {
 			if ins.IsTerminator() && i != len(b.Instrs)-1 {
 				return nil
 			}
-		}
-	}
-
-	bf := &bcFunc{fn: fn}
-	origIdx := map[*ir.Instr]int32{}
-	brIdx := map[*ir.Instr]int32{}
-	callIdx := map[*ir.Instr]int32{}
-	for _, b := range fn.Blocks {
-		for _, ins := range b.Instrs {
-			origIdx[ins] = int32(len(bf.origs))
-			bf.origs = append(bf.origs, ins)
 			switch ins.Op {
 			case ir.OpBr, ir.OpFBr:
-				brIdx[ins] = int32(len(bf.brIDs))
-				bf.brIDs = append(bf.brIDs, ins.ID)
+				nbr++
 			case ir.OpCall:
-				callIdx[ins] = int32(len(bf.callees))
-				bf.callees = append(bf.callees, prog.Func(ins.Callee))
-				bf.argLists = append(bf.argLists, ins.Args)
-				bf.names = append(bf.names, ins.Callee)
+				ncall++
 			}
 		}
 	}
-
-	// Careful array: 1:1 with origs, unfused, no accounting tokens (the
-	// careful loop accounts inline). Branch targets stay zero — careful mode
-	// provably traps before any terminator executes.
-	bf.careful = make([]bcIns, len(bf.origs))
-	for k, ins := range bf.origs {
-		bf.careful[k] = encodeOne(ins, origIdx[ins], brIdx, callIdx)
+	nseg := len(fn.Blocks) + ncall
+	bf := &bcFunc{
+		fn:    fn,
+		fast:  make([]bcIns, 0, n+nseg+len(fn.Blocks)),
+		segs:  make([]bcSeg, 0, nseg),
+		origs: make([]*ir.Instr, 0, n),
+		calls: make([]bcCall, 0, ncall),
+		brIDs: make([]int, 0, nbr),
 	}
 
 	// Fast array: per block, segment heads + fused code, then a fell-through
-	// token when the block has no terminator.
-	type patch struct {
-		pc    int32
-		blk   *ir.Block
-		taken bool
-	}
-	var patches []patch
-	blockStart := map[*ir.Block]int32{}
+	// token when the block has no terminator. Every block opens with a head,
+	// even an empty one, so a branch target is always a tokSeg. Branch targets
+	// hold block IDs until the fix-up pass below.
+	blockStart := make([]int32, nblk)
 	for _, b := range fn.Blocks {
-		blockStart[b] = int32(len(bf.fast))
+		blockStart[b.ID] = int32(len(bf.fast))
+		base := int32(len(bf.origs))
+		bf.origs = append(bf.origs, b.Instrs...)
 		instrs := b.Instrs
-		for segStart := 0; segStart < len(instrs); {
+		for segStart := 0; ; {
 			segEnd := segStart
 			for segEnd < len(instrs) && instrs[segEnd].Op != ir.OpCall {
 				segEnd++
@@ -71,69 +62,67 @@ func compileBC(prog *ir.Program, fn *ir.Func) *bcFunc {
 			if segEnd < len(instrs) {
 				segEnd++ // the call ends its segment, inclusive
 			}
-			seg := bcSeg{
-				steps:     int64(segEnd - segStart),
-				origStart: origIdx[instrs[segStart]],
-				origEnd:   origIdx[instrs[segEnd-1]] + 1,
-			}
-			for _, ins := range instrs[segStart:segEnd] {
-				if ins.Op == ir.OpExt {
-					found := false
-					for j := range seg.exts {
-						if seg.exts[j].w == ins.W {
-							seg.exts[j].n++
-							found = true
-							break
-						}
-					}
-					if !found {
-						seg.exts = append(seg.exts, extCount{w: ins.W, n: 1})
-					}
-				}
-			}
 			segID := int32(len(bf.segs))
-			bf.segs = append(bf.segs, seg)
-			bf.fast = append(bf.fast, bcIns{h: hSeg, tok: tokSeg, t0: segID})
+			bf.segs = append(bf.segs, bcSeg{origStart: base + int32(segStart), origEnd: base + int32(segEnd)})
+			bf.fast = append(bf.fast, bcIns{h: hSeg, tok: tokSeg, t0: segID, imm: int64(segEnd - segStart)})
 
 			for i := segStart; i < segEnd; {
-				fused, n := fuse(instrs, i, segEnd, origIdx, brIdx)
-				if n == 0 {
-					fused = encodeOne(instrs[i], origIdx[instrs[i]], brIdx, callIdx)
-					n = 1
+				in, k := fuse(instrs, i, segEnd, base+int32(i))
+				if k == 0 {
+					in, k = encodeOne(instrs[i], base+int32(i)), 1
 				}
-				pc := int32(len(bf.fast))
-				bf.fast = append(bf.fast, fused)
-				switch fused.tok {
-				case tokBr, tokFBr, tokExtBr, tokAddBr, tokSubBr, tokAddExtBr:
-					br := instrs[i+n-1]
-					patches = append(patches,
-						patch{pc: pc, blk: br.Blk.Succs[0], taken: true},
-						patch{pc: pc, blk: br.Blk.Succs[1], taken: false})
-				case tokJmp, tokAddJmp:
-					patches = append(patches, patch{pc: pc, blk: instrs[i].Blk.Succs[0], taken: true})
+				switch last := instrs[i+k-1]; last.Op {
+				case ir.OpBr, ir.OpFBr:
+					in.prof = int32(len(bf.brIDs))
+					bf.brIDs = append(bf.brIDs, last.ID)
+					in.t0, in.t1 = int32(last.Blk.Succs[0].ID), int32(last.Blk.Succs[1].ID)
+				case ir.OpJmp:
+					in.t0 = int32(last.Blk.Succs[0].ID)
+				case ir.OpCall:
+					in.t0 = int32(len(bf.calls))
+					bf.calls = append(bf.calls, bcCall{fn: prog.Func(last.Callee), args: last.Args, name: last.Callee})
 				}
-				i += n
+				bf.fast = append(bf.fast, in)
+				i += k
 			}
-			segStart = segEnd
+			if segStart = segEnd; segStart >= len(instrs) {
+				break
+			}
 		}
 		if b.Term() == nil {
 			bf.fast = append(bf.fast, bcIns{h: hFellThrough, tok: tokFellThrough, imm: int64(b.ID)})
 		}
 	}
-	for _, p := range patches {
-		if p.taken {
-			bf.fast[p.pc].t0 = blockStart[p.blk]
-		} else {
-			bf.fast[p.pc].t1 = blockStart[p.blk]
+	for pc := range bf.fast {
+		switch in := &bf.fast[pc]; in.tok {
+		case tokBr, tokFBr, tokExtBr, tokAddBr, tokSubBr, tokAddExtBr:
+			in.t0, in.t1 = blockStart[in.t0], blockStart[in.t1]
+		case tokJmp, tokAddJmp:
+			in.t0 = blockStart[in.t0]
 		}
 	}
 	return bf
 }
 
+// lowerCareful builds the careful array: 1:1 with origs, unfused, no
+// accounting tokens (the careful loop accounts inline). Only a run whose step
+// limit lands inside a segment needs it. Branch targets, branch counters and
+// call indices stay zero: careful mode provably stops before any terminator
+// or call executes.
+func (bf *bcFunc) lowerCareful() []bcIns {
+	code := make([]bcIns, len(bf.origs))
+	for k, ins := range bf.origs {
+		code[k] = encodeOne(ins, int32(k))
+	}
+	return code
+}
+
 // fuse tries the superinstruction patterns at instrs[i] (longest first,
-// within [i, segEnd)). It returns the fused encoding and the number of
-// constituent instructions, or n == 0 when nothing matches.
-func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32) (bcIns, int) {
+// within [i, segEnd)), whose orig index is orig. It returns the fused
+// encoding and the number of constituent instructions, or n == 0 when
+// nothing matches. A fused branch's counter and targets are the caller's to
+// fill in.
+func fuse(instrs []*ir.Instr, i, segEnd int, orig int32) (bcIns, int) {
 	cur := instrs[i]
 	var nxt, nxt2 *ir.Instr
 	if i+1 < segEnd {
@@ -156,7 +145,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			w: cur.W, w2: nxt.W, w3: nxt2.W, cond: nxt2.Cond,
 			dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1], c: nxt.Dst,
 			x: nxt2.Srcs[0], y: nxt2.Srcs[1],
-			orig: origIdx[cur], prof: brIdx[nxt2],
+			orig: orig,
 		}, 3
 	}
 	// const + add reading the constant.
@@ -166,7 +155,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			h: hConstAdd, tok: tokConstAdd,
 			w: nxt.W, imm: cur.Const,
 			c: cur.Dst, dst: nxt.Dst, a: nxt.Srcs[0], b: nxt.Srcs[1],
-			orig: origIdx[cur],
+			orig: orig,
 		}, 2
 	}
 	// const + aload indexed by the constant (the a[K] idiom). Skipped when an
@@ -178,7 +167,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			h: hConstALoad, tok: tokConstALoad,
 			w: nxt.W, imm: cur.Const,
 			c: cur.Dst, dst: nxt.Dst, a: nxt.Srcs[0], b: nxt.Srcs[1],
-			orig: origIdx[cur],
+			orig: orig,
 		}, 2
 	}
 	// arith + ext of the result.
@@ -196,7 +185,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 				h: h, tok: tok,
 				w: cur.W, w2: nxt.W,
 				dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1], c: nxt.Dst,
-				orig: origIdx[cur],
+				orig: orig,
 			}, 2
 		case ir.OpLoadG:
 			if !cur.Float {
@@ -204,7 +193,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 					h: hLoadGExt, tok: tokLoadGExt,
 					w: cur.W, w2: nxt.W, imm: cur.Const,
 					dst: cur.Dst, c: nxt.Dst,
-					orig: origIdx[cur],
+					orig: orig,
 				}, 2
 			}
 		case ir.OpArrLoad:
@@ -213,7 +202,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 					h: hArrLoadExt, tok: tokArrLoadExt,
 					w: cur.W, w2: nxt.W,
 					dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1], c: nxt.Dst,
-					orig: origIdx[cur],
+					orig: orig,
 				}, 2
 			}
 		}
@@ -225,7 +214,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			w: cur.W, w2: nxt.W, cond: nxt.Cond,
 			dst: cur.Dst, a: cur.Srcs[0],
 			x: nxt.Srcs[0], y: nxt.Srcs[1],
-			orig: origIdx[cur], prof: brIdx[nxt],
+			orig: orig,
 		}, 2
 	}
 	// add/sub + br.
@@ -239,7 +228,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			w: cur.W, w2: nxt.W, cond: nxt.Cond,
 			dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1],
 			x: nxt.Srcs[0], y: nxt.Srcs[1],
-			orig: origIdx[cur], prof: brIdx[nxt],
+			orig: orig,
 		}, 2
 	}
 	// add + jmp (loop latch with the normalization already elided).
@@ -247,15 +236,16 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 		return bcIns{
 			h: hAddJmp, tok: tokAddJmp,
 			w: cur.W, dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1],
-			orig: origIdx[cur],
+			orig: orig,
 		}, 2
 	}
 	return bcIns{}, 0
 }
 
-// encodeOne returns the unfused encoding of ins. Branch targets are left for
-// the caller to patch (fast array) or unused (careful array).
-func encodeOne(ins *ir.Instr, orig int32, brIdx, callIdx map[*ir.Instr]int32) bcIns {
+// encodeOne returns the unfused encoding of ins. Branch targets, branch
+// counters and call indices are left for the caller to fill in (fast array)
+// or unused (careful array).
+func encodeOne(ins *ir.Instr, orig int32) bcIns {
 	in := bcIns{w: ins.W, cond: ins.Cond, fl: ins.Float, dst: ins.Dst,
 		a: ins.Srcs[0], b: ins.Srcs[1], c: ins.Srcs[2], orig: orig}
 	switch ins.Op {
@@ -318,7 +308,7 @@ func encodeOne(ins *ir.Instr, orig int32, brIdx, callIdx map[*ir.Instr]int32) bc
 	case ir.OpFCall:
 		in.h, in.tok = hFCall, tokFCall
 	case ir.OpCall:
-		in.h, in.tok, in.t0 = hCall, tokCall, callIdx[ins]
+		in.h, in.tok = hCall, tokCall
 	case ir.OpRet:
 		in.h, in.tok = hRet, tokRet
 		if ins.NSrcs != 1 {
@@ -337,9 +327,9 @@ func encodeOne(ins *ir.Instr, orig int32, brIdx, callIdx map[*ir.Instr]int32) bc
 	case ir.OpArrLen:
 		in.h, in.tok = hArrLen, tokArrLen
 	case ir.OpBr:
-		in.h, in.tok, in.x, in.y, in.prof = hBr, tokBr, ins.Srcs[0], ins.Srcs[1], brIdx[ins]
+		in.h, in.tok, in.x, in.y = hBr, tokBr, ins.Srcs[0], ins.Srcs[1]
 	case ir.OpFBr:
-		in.h, in.tok, in.x, in.y, in.prof = hFBr, tokFBr, ins.Srcs[0], ins.Srcs[1], brIdx[ins]
+		in.h, in.tok, in.x, in.y = hFBr, tokFBr, ins.Srcs[0], ins.Srcs[1]
 	case ir.OpJmp:
 		in.h, in.tok = hJmp, tokJmp
 	case ir.OpTrap:
@@ -380,17 +370,18 @@ func (m *machine) bcFor(fn *ir.Func) *bcState {
 
 // newBCState evaluates the run's cost model once per instruction (Options.
 // Cost must be pure: segment accounting sums it ahead of execution order) and
-// sizes the dense branch counters.
+// sizes the segment hit and dense branch counters. Branches are counted
+// even without Options.Profile, which keeps the branch handlers free of a
+// test; only flushBC looks at the option.
 func (m *machine) newBCState(bf *bcFunc) *bcState {
-	st := &bcState{bf: bf}
+	st := &bcState{bf: bf, mode: m.mode, hits: make([]int64, len(bf.segs)), prof: make([][2]int64, len(bf.brIDs))}
 	if m.opt.Cost != nil {
 		st.cost = make([]int64, len(bf.origs))
 		for k, ins := range bf.origs {
 			st.cost[k] = m.opt.Cost(ins)
 		}
 		st.segCost = make([]int64, len(bf.segs))
-		for si := range bf.segs {
-			seg := &bf.segs[si]
+		for si, seg := range bf.segs {
 			sum := int64(0)
 			for k := seg.origStart; k < seg.origEnd; k++ {
 				sum += st.cost[k]
@@ -398,21 +389,48 @@ func (m *machine) newBCState(bf *bcFunc) *bcState {
 			st.segCost[si] = sum
 		}
 	}
-	if m.res.Profile != nil {
-		st.prof = make([][2]int64, len(bf.brIDs))
-	}
 	return st
 }
 
-// flushBCProfiles materializes the dense branch counters into Result.Profile
-// with the walker's exact shape: every entered function gets a map (possibly
-// empty), and counters exist only for branches that executed.
-func (m *machine) flushBCProfiles() {
-	if m.res.Profile == nil {
-		return
+// foldHits charges st's pending segment hits to the result — hits times the
+// segment's cycle cost, to the mode they ran under, and hits times each of
+// its sign extensions — then rebinds st to the current mode. It runs at the
+// end of the run and whenever a frame of the function executes under a
+// different mode than its pending hits did.
+func (m *machine) foldHits(st *bcState) {
+	bf := st.bf
+	for si, h := range st.hits {
+		if h == 0 {
+			continue
+		}
+		st.hits[si] = 0
+		if st.segCost != nil {
+			c := h * st.segCost[si]
+			m.res.Cycles += c
+			m.res.ModeCycles[st.mode] += c
+		}
+		seg := bf.segs[si]
+		for _, ins := range bf.origs[seg.origStart:seg.origEnd] {
+			if ins.Op == ir.OpExt {
+				m.res.Ext[ins.W] += h
+			}
+		}
 	}
+	st.mode = m.mode
+}
+
+// flushBC folds every function's segment hits into the result and
+// materializes the dense branch counters into Result.Profile with the
+// walker's exact shape: every entered function gets a map (possibly empty),
+// and counters exist only for branches that executed. The counters are
+// handed over in place; the machine is done with them.
+func (m *machine) flushBC() {
 	for fn, st := range m.bc {
 		if st == nil || !st.entered {
+			continue
+		}
+		m.foldHits(st)
+		if m.res.Profile == nil {
 			continue
 		}
 		pm := m.res.Profile[fn.Name]
@@ -425,13 +443,12 @@ func (m *machine) flushBCProfiles() {
 			if c[0] == 0 && c[1] == 0 {
 				continue
 			}
-			p := pm[st.bf.brIDs[bi]]
-			if p == nil {
-				p = new([2]int64)
-				pm[st.bf.brIDs[bi]] = p
+			if p := pm[st.bf.brIDs[bi]]; p != nil {
+				p[0] += c[0]
+				p[1] += c[1]
+			} else {
+				pm[st.bf.brIDs[bi]] = c
 			}
-			p[0] += c[0]
-			p[1] += c[1]
 		}
 	}
 }

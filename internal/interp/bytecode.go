@@ -7,19 +7,32 @@
 //
 // Bookkeeping is hoisted out of the instruction loop: a segment is a maximal
 // run of instructions inside one block that contains no call except as its
-// last instruction. A tokSeg pseudo-instruction at the head of each segment
-// adds the whole segment's step count, cycle cost, and sign-extension counts
-// up front, so plain handlers execute with zero per-step accounting. That
-// optimistic accounting is exact whenever the segment runs to completion,
+// last instruction. Every block opens with a segment, and a tokSeg head
+// leads each segment. A segment execution costs one step-limit check, one
+// add to Result.Steps (eager, because the limit needs it) and one bump of
+// the segment's hit counter; plain handlers do no accounting at all. Cycles,
+// per-mode cycles and sign-extension counts are folded in as hits times the
+// segment's sums when the run ends, or earlier when a function is entered
+// under a different mode than its pending hits ran under.
+//
+// Blocks are entered only by control transfers and function entry, so the
+// branch and jump handlers do the target head's accounting inline and
+// resume after it, saving a dispatch per taken edge. Heads at function entry
+// and after calls are dispatched.
+//
+// The optimistic accounting is exact whenever a segment runs to completion,
 // which is every execution except two rare cases:
 //
 //   - a handler traps mid-segment (div-by-zero, bounds, dummy violation, ...):
-//     the dispatch loop rolls the accounting back to the segment entry and
-//     re-adds the executed prefix, reproducing the walker's totals exactly;
-//   - the step limit would be hit inside the segment: tokSeg switches to a
-//     "careful" unfused shadow array that accounts per instruction, and which
-//     provably returns ErrStepLimit (or an earlier trap) before reaching the
-//     segment's terminator, at exactly the walker's step count.
+//     the dispatch loop takes the segment's hit back and charges the executed
+//     prefix directly, reproducing the walker's totals exactly. No call can
+//     run between the hit and the trap, because a call ends its segment;
+//   - the step limit would be hit inside the segment: the head is dispatched
+//     (an edge falls back to it) and switches to a "careful" unfused shadow
+//     array that accounts per instruction, and which provably returns
+//     ErrStepLimit (or an earlier trap) before reaching the segment's
+//     terminator, at exactly the walker's step count. The careful array is
+//     built on first use.
 //
 // Branch profiles are kept in dense per-function counter arrays and
 // materialized into Result.Profile maps when the run finishes.
@@ -31,6 +44,7 @@ package interp
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 
 	"signext/internal/ir"
@@ -125,7 +139,8 @@ const (
 //	dst/a/b/c: register operands (c = secondary dst: const dst, ext dst)
 //	x/y: branch compare operands
 //	t0/t1: taken/fall-through targets; seg index (tokSeg); call index (tokCall)
-//	imm: const value, global index, block ID (tokFellThrough)
+//	imm: const value, global index, segment steps (tokSeg), block ID
+//	     (tokFellThrough)
 //	orig: index into bcFunc.origs for error formatting and rollback
 //	prof: dense branch-counter index
 //	extW: width of an OpExt encoding (careful-array accounting)
@@ -152,30 +167,28 @@ type bcIns struct {
 	fimm float64
 }
 
-type extCount struct {
-	w ir.Width
-	n int64
-}
-
-// bcSeg is the accounting summary of one segment.
+// bcSeg is one segment's span of origs; its step count is its length.
 type bcSeg struct {
-	steps     int64
-	exts      []extCount
 	origStart int32
 	origEnd   int32 // exclusive
 }
 
+// bcCall is one call site's resolved callee.
+type bcCall struct {
+	fn   *ir.Func // nil if unresolved at compile time
+	args []ir.Reg
+	name string // for the unresolved-callee error
+}
+
 // bcFunc is the compiled form of one function (per machine, per run).
 type bcFunc struct {
-	fn       *ir.Func
-	fast     []bcIns // fused code with tokSeg accounting heads
-	careful  []bcIns // unfused, 1:1 with origs, per-instruction accounting
-	segs     []bcSeg
-	origs    []*ir.Instr
-	callees  []*ir.Func // nil if unresolved at compile time
-	argLists [][]ir.Reg
-	names    []string // callee names (error messages for unresolved)
-	brIDs    []int    // dense branch index -> instruction ID
+	fn      *ir.Func
+	fast    []bcIns // fused code with tokSeg accounting heads
+	careful []bcIns // unfused, 1:1 with origs; built on first use
+	segs    []bcSeg
+	origs   []*ir.Instr
+	calls   []bcCall
+	brIDs   []int // dense branch index -> instruction ID
 }
 
 // bcState is bcFunc plus per-run state that depends on Options.
@@ -183,7 +196,9 @@ type bcState struct {
 	bf      *bcFunc
 	cost    []int64    // per orig index; nil when Options.Cost is nil
 	segCost []int64    // per segment
-	prof    [][2]int64 // dense branch counters; nil when !Options.Profile
+	hits    []int64    // per segment: executions not yet folded into Result
+	mode    Mode       // the mode the pending hits ran under
+	prof    [][2]int64 // dense branch counters
 	entered bool       // function executed at least once this run
 }
 
@@ -193,14 +208,11 @@ type bcState struct {
 type bcFrame struct {
 	m     *machine
 	st    *bcState
+	code  []bcIns // st.bf.fast
+	hits  []int64 // st.hits
 	regs  []slot
 	norm  bool // Mode32: narrow defs normalize
 	sload bool // memory loads sign-extend (Mode32 or PPC64)
-
-	segIdx     int32
-	baseSteps  int64
-	baseCycles int64
-	baseModeC  int64
 
 	ret      slot
 	err      error
@@ -235,6 +247,9 @@ func evalBr(cond ir.Cond, w ir.Width, x, y int64) bool {
 
 func (m *machine) execBC(st *bcState, fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, error) {
 	st.entered = true
+	if st.mode != m.mode {
+		m.foldHits(st)
+	}
 	regs := m.acquireRegs(fn.NReg)
 	for k, r := range argRegs {
 		regs[k] = caller[r]
@@ -242,11 +257,13 @@ func (m *machine) execBC(st *bcState, fn *ir.Func, caller []slot, argRegs []ir.R
 	fr := m.acquireFrame()
 	fr.m = m
 	fr.st = st
+	fr.code = st.bf.fast
+	fr.hits = st.hits
 	fr.regs = regs
 	fr.norm = m.mode == Mode32
 	fr.sload = m.mode == Mode32 || m.opt.Machine == ir.PPC64
 
-	code := st.bf.fast
+	code := fr.code
 	pc := 0
 	for pc >= 0 {
 		in := &code[pc]
@@ -261,53 +278,56 @@ func (m *machine) execBC(st *bcState, fn *ir.Func, caller []slot, argRegs []ir.R
 	return ret, err
 }
 
-// bcRollback undoes a segment's optimistic accounting after a mid-segment
-// trap and re-adds the executed prefix, reproducing the walker's totals: the
+// bcRollback takes back the hit of the segment a mid-segment trap left and
+// charges the executed prefix directly, reproducing the walker's totals: the
 // trapping instruction's step and cost are charged (the walker charges both
-// before executing), its sign extension is not (OpExt never traps).
+// before executing), its sign extension is not (OpExt never traps). No call
+// runs between a hit and its trap, so Result.Steps still holds the whole
+// segment and the hit was counted under the current mode.
 func (m *machine) bcRollback(fr *bcFrame) {
 	st := fr.st
-	seg := &st.bf.segs[fr.segIdx]
+	bf := st.bf
 	k := fr.trapOrig
-	m.res.Steps = fr.baseSteps + int64(k-seg.origStart) + 1
-	if st.cost != nil {
-		sum := int64(0)
-		for i := seg.origStart; i <= k; i++ {
-			sum += st.cost[i]
+	si := sort.Search(len(bf.segs), func(i int) bool { return bf.segs[i].origEnd > k })
+	seg := bf.segs[si]
+	st.hits[si]--
+	m.res.Steps -= int64(seg.origEnd - k - 1)
+	for i := seg.origStart; i <= k; i++ {
+		if st.cost != nil {
+			c := st.cost[i]
+			m.res.Cycles += c
+			m.res.ModeCycles[m.mode] += c
 		}
-		m.res.Cycles = fr.baseCycles + sum
-		m.res.ModeCycles[m.mode] = fr.baseModeC + sum
-	}
-	for _, e := range seg.exts {
-		m.res.Ext[e.w] -= e.n
-	}
-	for i := seg.origStart; i < k; i++ {
-		if ins := st.bf.origs[i]; ins.Op == ir.OpExt {
+		if ins := bf.origs[i]; i < k && ins.Op == ir.OpExt {
 			m.res.Ext[ins.W]++
 		}
 	}
 }
 
+// hSeg is a segment head reached by dispatch: at function entry, after a
+// call, or when an edge found the step limit inside the segment.
 func hSeg(fr *bcFrame, in *bcIns, pc int) int {
 	m := fr.m
-	seg := &fr.st.bf.segs[in.t0]
-	if m.res.Steps+seg.steps > m.opt.MaxSteps {
-		return fr.runCareful(seg)
+	if m.res.Steps+in.imm > m.opt.MaxSteps {
+		return fr.runCareful(&fr.st.bf.segs[in.t0])
 	}
-	fr.segIdx = in.t0
-	fr.baseSteps = m.res.Steps
-	m.res.Steps += seg.steps
-	if fr.st.cost != nil {
-		fr.baseCycles = m.res.Cycles
-		fr.baseModeC = m.res.ModeCycles[m.mode]
-		c := fr.st.segCost[in.t0]
-		m.res.Cycles += c
-		m.res.ModeCycles[m.mode] += c
-	}
-	for _, e := range seg.exts {
-		m.res.Ext[e.w] += e.n
-	}
+	m.res.Steps += in.imm
+	fr.hits[in.t0]++
 	return pc + 1
+}
+
+// enter takes a control-transfer edge to the segment head at target: it does
+// the head's accounting inline and resumes after it, or returns the head
+// itself for dispatch when the step limit falls inside the segment.
+func (fr *bcFrame) enter(target int32) int {
+	head := &fr.code[target]
+	m := fr.m
+	if m.res.Steps+head.imm > m.opt.MaxSteps {
+		return int(target)
+	}
+	m.res.Steps += head.imm
+	fr.hits[head.t0]++
+	return int(target) + 1
 }
 
 // runCareful executes a segment one instruction at a time with walker-order
@@ -319,7 +339,11 @@ func hSeg(fr *bcFrame, in *bcIns, pc int) int {
 func (fr *bcFrame) runCareful(seg *bcSeg) int {
 	m := fr.m
 	fr.exact = true
-	code := fr.st.bf.careful
+	bf := fr.st.bf
+	if bf.careful == nil {
+		bf.careful = bf.lowerCareful()
+	}
+	code := bf.careful
 	for k := seg.origStart; k < seg.origEnd; k++ {
 		in := &code[k]
 		m.res.Steps++
@@ -535,7 +559,7 @@ func hLShr(fr *bcFrame, in *bcIns, pc int) int {
 }
 
 func hExt(fr *bcFrame, in *bcIns, pc int) int {
-	// The execution count lives in the segment totals (or the careful loop);
+	// The execution count lives in the segment hits (or the careful loop);
 	// the handler must not bump Result.Ext.
 	fr.regs[in.dst].i = in.w.SignExt(fr.regs[in.a].i)
 	return pc + 1
@@ -605,21 +629,26 @@ func hFCall(fr *bcFrame, in *bcIns, pc int) int {
 }
 
 func hCall(fr *bcFrame, in *bcIns, pc int) int {
-	bf := fr.st.bf
-	callee := bf.callees[in.t0]
-	if callee == nil {
+	call := &fr.st.bf.calls[in.t0]
+	if call.fn == nil {
 		// The call is its segment's last instruction, so the optimistic
 		// accounting (which charges the call's own step and cost, exactly as
 		// the walker does before erroring) is already exact.
-		fr.err = fmt.Errorf("%w: %s", ErrNoFunction, bf.names[in.t0])
+		fr.err = fmt.Errorf("%w: %s", ErrNoFunction, call.name)
 		fr.exact = true
 		return -1
 	}
-	rv, err := fr.m.call(callee, fr.regs, bf.argLists[in.t0])
+	m := fr.m
+	rv, err := m.call(call.fn, fr.regs, call.args)
 	if err != nil {
 		fr.err = err
 		fr.exact = true
 		return -1
+	}
+	// A recursive frame of this function under another mode rebound its
+	// pending hits to that mode; fold them and rebind to this frame's mode.
+	if fr.st.mode != m.mode {
+		m.foldHits(fr.st)
 	}
 	if in.dst != ir.NoReg {
 		fr.regs[in.dst] = rv
@@ -744,36 +773,28 @@ func hArrLen(fr *bcFrame, in *bcIns, pc int) int {
 	return pc + 1
 }
 
-func (fr *bcFrame) count(in *bcIns, taken bool) {
-	if fr.st.prof != nil {
-		if taken {
-			fr.st.prof[in.prof][0]++
-		} else {
-			fr.st.prof[in.prof][1]++
-		}
+// branch counts a conditional branch's outcome and takes the chosen edge.
+// Counting is unconditional, so this stays small enough to inline; flushBC
+// publishes the counts only when Options.Profile asks.
+func (fr *bcFrame) branch(in *bcIns, taken bool) int {
+	t, side := in.t1, 1
+	if taken {
+		t, side = in.t0, 0
 	}
+	fr.st.prof[in.prof][side]++
+	return fr.enter(t)
 }
 
 func hBr(fr *bcFrame, in *bcIns, pc int) int {
-	taken := evalBr(in.cond, in.w, fr.regs[in.x].i, fr.regs[in.y].i)
-	fr.count(in, taken)
-	if taken {
-		return int(in.t0)
-	}
-	return int(in.t1)
+	return fr.branch(in, evalBr(in.cond, in.w, fr.regs[in.x].i, fr.regs[in.y].i))
 }
 
 func hFBr(fr *bcFrame, in *bcIns, pc int) int {
-	taken := in.cond.EvalF(fr.regs[in.x].f, fr.regs[in.y].f)
-	fr.count(in, taken)
-	if taken {
-		return int(in.t0)
-	}
-	return int(in.t1)
+	return fr.branch(in, in.cond.EvalF(fr.regs[in.x].f, fr.regs[in.y].f))
 }
 
 func hJmp(fr *bcFrame, in *bcIns, pc int) int {
-	return int(in.t0)
+	return fr.enter(in.t0)
 }
 
 func hTrap(fr *bcFrame, in *bcIns, pc int) int {
@@ -869,12 +890,7 @@ func hArrLoadExt(fr *bcFrame, in *bcIns, pc int) int {
 func hExtBr(fr *bcFrame, in *bcIns, pc int) int {
 	regs := fr.regs
 	regs[in.dst].i = in.w.SignExt(regs[in.a].i)
-	taken := evalBr(in.cond, in.w2, regs[in.x].i, regs[in.y].i)
-	fr.count(in, taken)
-	if taken {
-		return int(in.t0)
-	}
-	return int(in.t1)
+	return fr.branch(in, evalBr(in.cond, in.w2, regs[in.x].i, regs[in.y].i))
 }
 
 func hAddBr(fr *bcFrame, in *bcIns, pc int) int {
@@ -884,12 +900,7 @@ func hAddBr(fr *bcFrame, in *bcIns, pc int) int {
 		v = in.w.SignExt(v)
 	}
 	regs[in.dst].i = v
-	taken := evalBr(in.cond, in.w2, regs[in.x].i, regs[in.y].i)
-	fr.count(in, taken)
-	if taken {
-		return int(in.t0)
-	}
-	return int(in.t1)
+	return fr.branch(in, evalBr(in.cond, in.w2, regs[in.x].i, regs[in.y].i))
 }
 
 func hAddExtBr(fr *bcFrame, in *bcIns, pc int) int {
@@ -900,12 +911,7 @@ func hAddExtBr(fr *bcFrame, in *bcIns, pc int) int {
 	}
 	regs[in.dst].i = v
 	regs[in.c].i = in.w2.SignExt(v)
-	taken := evalBr(in.cond, in.w3, regs[in.x].i, regs[in.y].i)
-	fr.count(in, taken)
-	if taken {
-		return int(in.t0)
-	}
-	return int(in.t1)
+	return fr.branch(in, evalBr(in.cond, in.w3, regs[in.x].i, regs[in.y].i))
 }
 
 func hSubBr(fr *bcFrame, in *bcIns, pc int) int {
@@ -915,12 +921,7 @@ func hSubBr(fr *bcFrame, in *bcIns, pc int) int {
 		v = in.w.SignExt(v)
 	}
 	regs[in.dst].i = v
-	taken := evalBr(in.cond, in.w2, regs[in.x].i, regs[in.y].i)
-	fr.count(in, taken)
-	if taken {
-		return int(in.t0)
-	}
-	return int(in.t1)
+	return fr.branch(in, evalBr(in.cond, in.w2, regs[in.x].i, regs[in.y].i))
 }
 
 func hAddJmp(fr *bcFrame, in *bcIns, pc int) int {
@@ -929,7 +930,7 @@ func hAddJmp(fr *bcFrame, in *bcIns, pc int) int {
 		v = in.w.SignExt(v)
 	}
 	fr.regs[in.dst].i = v
-	return int(in.t0)
+	return fr.enter(in.t0)
 }
 
 func hConstALoad(fr *bcFrame, in *bcIns, pc int) int {

@@ -132,34 +132,130 @@ func stepLimitProg() *ir.Program {
 	return prog
 }
 
-// TestDispatchIdentityStepLimitSweep pins the exact step-limit semantics of
-// the segment-batched fast path: for every possible MaxSteps value up to the
-// program's full length, both dispatchers must stop at the same instruction
-// with the same totals, output prefix, and partial profile.
-func TestDispatchIdentityStepLimitSweep(t *testing.T) {
-	prog := stepLimitProg()
-	full, err := Run(prog, "main", Options{Mode: Mode32, Dispatch: DispatchSwitch})
+// sweepStepLimits runs prog under both dispatchers for every MaxSteps value
+// up to one past the program's full length, building each run's options
+// afresh with opts(limit) so stateful hooks start over, and requires both
+// to stop at the same instruction with the same totals, output prefix, and
+// partial profile.
+func sweepStepLimits(t *testing.T, label string, prog *ir.Program, opts func(lim int64) Options) {
+	t.Helper()
+	o := opts(0)
+	o.Dispatch = DispatchSwitch
+	full, err := Run(prog, "main", o)
 	if err != nil {
-		t.Fatalf("full run: %v", err)
+		t.Fatalf("%s: full run: %v", label, err)
 	}
-	cost := target.CostModel(ir.IA64)
 	for lim := int64(1); lim <= full.Steps+1; lim++ {
-		opt := Options{
-			Mode:       Mode32,
-			MaxSteps:   lim,
-			Profile:    true,
-			CountCalls: true,
-			Cost:       cost,
-		}
-		sw, th, swErr, thErr := runBoth(t, prog, opt)
-		assertIdentical(t, fmt.Sprintf("maxsteps=%d", lim), sw, th, swErr, thErr)
+		sw := opts(lim)
+		sw.Dispatch = DispatchSwitch
+		th := opts(lim)
+		th.Dispatch = DispatchThreaded
+		swRes, swErr := Run(prog, "main", sw)
+		thRes, thErr := Run(prog, "main", th)
+		assertIdentical(t, fmt.Sprintf("%s/maxsteps=%d", label, lim), swRes, thRes, swErr, thErr)
 		if lim < full.Steps && swErr == nil {
-			t.Fatalf("maxsteps=%d: expected a step-limit trap", lim)
+			t.Fatalf("%s/maxsteps=%d: expected a step-limit trap", label, lim)
 		}
-		if lim < full.Steps && sw.Steps != lim+1 {
-			t.Fatalf("maxsteps=%d: walker stopped at step %d, want %d", lim, sw.Steps, lim+1)
+		if lim < full.Steps && swRes.Steps != lim+1 {
+			t.Fatalf("%s/maxsteps=%d: walker stopped at step %d, want %d", label, lim, swRes.Steps, lim+1)
 		}
 	}
+}
+
+// modeFlipProg: r(n) recurses to depth n with narrow arithmetic and counted
+// extensions on both sides of its call, and main calls it in a loop.
+func modeFlipProg() *ir.Program {
+	prog := ir.NewProgram()
+
+	r := ir.NewFunc("r", ir.Param{W: ir.W32})
+	n := r.Param(0)
+	zero := r.Const(ir.W32, 0)
+	rec, base := r.NewBlock(), r.NewBlock()
+	r.Br(ir.W32, ir.CondGT, n, zero, rec, base)
+	r.SetBlock(rec)
+	one := r.Const(ir.W32, 1)
+	m := r.Sub(ir.W32, n, one)
+	r.Ext(ir.W32, m)
+	v := r.Call("r", ir.W32, false, m)
+	big := r.Const(ir.W32, 0x7ffffff0)
+	s := r.Add(ir.W32, v, big)
+	r.Ext(ir.W32, s)
+	r.Ret(s)
+	r.SetBlock(base)
+	r.Ret(n)
+	r.Fn.RetW = ir.W32
+	prog.AddFunc(r.Fn)
+
+	b := ir.NewFunc("main")
+	i := b.Fn.NewReg()
+	acc := b.Fn.NewReg()
+	b.ConstTo(ir.W32, i, 0)
+	b.ConstTo(ir.W32, acc, 0)
+	lim := b.Const(ir.W32, 4)
+	one = b.Const(ir.W32, 1)
+	loop, body, exit := b.NewBlock(), b.NewBlock(), b.NewBlock()
+	b.Jmp(loop)
+	b.SetBlock(loop)
+	b.Br(ir.W32, ir.CondLT, i, lim, body, exit)
+	b.SetBlock(body)
+	x := b.Call("r", ir.W32, false, i)
+	b.OpTo(ir.OpAdd, ir.W32, acc, acc, x)
+	b.Ext(ir.W32, acc)
+	b.OpTo(ir.OpAdd, ir.W32, i, i, one)
+	b.Jmp(loop)
+	b.SetBlock(exit)
+	b.Print(ir.W32, acc)
+	b.Ret(ir.NoReg)
+	prog.AddFunc(b.Fn)
+	return prog
+}
+
+// TestDispatchIdentityStepLimitSweep pins the exact step-limit semantics of
+// the segment-batched fast path, including limits that fall inside segments
+// entered by a branch or jump edge. The mixed-tier leg runs f in Mode32 and
+// main in Mode64, so the per-mode cycle split and the folded extension
+// counts are compared at every limit too. The mode-flip leg gives the same
+// function different modes across calls within one run: successive entries
+// of r alternate Mode32 and Mode64, so r is entered under one mode while an
+// outer frame of r holds segment hits from the other, and that outer frame
+// resumes after its call under its own mode.
+func TestDispatchIdentityStepLimitSweep(t *testing.T) {
+	cost := target.CostModel(ir.IA64)
+	sweepStepLimits(t, "mode32", stepLimitProg(), func(lim int64) Options {
+		return Options{Mode: Mode32, MaxSteps: lim, Profile: true, CountCalls: true, Cost: cost}
+	})
+	sweepStepLimits(t, "mixed", stepLimitProg(), func(lim int64) Options {
+		return Options{
+			Mode: Mode64, MaxSteps: lim, Profile: true, CountCalls: true, Cost: cost,
+			FuncMode: func(name string) Mode {
+				if name == "f" {
+					return Mode32
+				}
+				return Mode64
+			},
+		}
+	})
+	flip := func(lim int64) Options {
+		k := 0
+		return Options{
+			Mode: Mode64, MaxSteps: lim, Profile: true, CountCalls: true, Cost: cost,
+			FuncMode: func(name string) Mode {
+				if name != "r" {
+					return Mode64
+				}
+				k++
+				return Mode(k & 1)
+			},
+		}
+	}
+	res, err := Run(modeFlipProg(), "main", flip(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ModeCycles[Mode32] == 0 || res.ModeCycles[Mode64] == 0 || res.Ext[32] == 0 {
+		t.Fatalf("mode-flip: expected cycles in both modes and counted extensions, got %v, ext32 %d", res.ModeCycles, res.Ext[32])
+	}
+	sweepStepLimits(t, "modeflip", modeFlipProg(), flip)
 }
 
 // TestSuperinstructionFusion asserts the compiler actually emits the fused
@@ -249,9 +345,53 @@ func TestSuperinstructionFusion(t *testing.T) {
 	}
 }
 
+// loopDivTrap emits a counted loop whose segment holding a division by 3-i
+// is entered through a control-transfer edge — the taken side of the loop
+// branch, its fall-through side, or (inHeader) the jumps into the loop
+// header. The segment completes three times and traps on its fourth entry,
+// after counted extensions, so the rollback must take back exactly the hit
+// the edge counted inline.
+func loopDivTrap(b *ir.Builder, onTaken, inHeader bool) {
+	i := b.Fn.NewReg()
+	acc := b.Fn.NewReg()
+	b.ConstTo(ir.W32, i, 0)
+	b.ConstTo(ir.W32, acc, 0)
+	n := b.Const(ir.W32, 10)
+	one := b.Const(ir.W32, 1)
+	three := b.Const(ir.W32, 3)
+	loop, body, exit := b.NewBlock(), b.NewBlock(), b.NewBlock()
+	div := func() {
+		seven := b.Const(ir.W32, 7)
+		b.Ext(ir.W32, seven)
+		q := b.Div(ir.W32, seven, b.Sub(ir.W32, three, i))
+		b.OpTo(ir.OpAdd, ir.W32, acc, acc, q)
+		b.Ext(ir.W32, acc)
+	}
+	b.Jmp(loop)
+	b.SetBlock(loop)
+	if inHeader {
+		div()
+	}
+	if onTaken {
+		b.Br(ir.W32, ir.CondLT, i, n, body, exit)
+	} else {
+		b.Br(ir.W32, ir.CondGE, i, n, exit, body)
+	}
+	b.SetBlock(body)
+	if !inHeader {
+		div()
+	}
+	b.Print(ir.W32, acc)
+	b.OpTo(ir.OpAdd, ir.W32, i, i, one)
+	b.Ext(ir.W32, i)
+	b.Jmp(loop)
+	b.SetBlock(exit)
+	b.Ret(ir.NoReg)
+}
+
 // TestDispatchIdentityTraps covers mid-segment traps, where the threaded
 // fast path must roll its optimistic segment accounting back to the walker's
-// exact totals.
+// exact totals, including segments entered through a branch or jump edge.
 func TestDispatchIdentityTraps(t *testing.T) {
 	build := func(f func(b *ir.Builder)) *ir.Program {
 		prog := ir.NewProgram()
@@ -279,6 +419,9 @@ func TestDispatchIdentityTraps(t *testing.T) {
 			b.Print(ir.W32, v)
 			b.Ret(ir.NoReg)
 		}),
+		"taken-edge":        build(func(b *ir.Builder) { loopDivTrap(b, true, false) }),
+		"fall-through-edge": build(func(b *ir.Builder) { loopDivTrap(b, false, false) }),
+		"jump-edge":         build(func(b *ir.Builder) { loopDivTrap(b, true, true) }),
 		"neg-array-size": build(func(b *ir.Builder) {
 			b.NewArr(ir.W32, false, b.Const(ir.W32, -3))
 			b.Ret(ir.NoReg)

@@ -167,3 +167,21 @@ func TestCheckDummiesAcceptsCleanRegister(t *testing.T) {
 		t.Fatalf("wrong output %q", res.Output)
 	}
 }
+
+// TestBuiltinArityTraps: a float builtin called with the wrong number of
+// arguments (malformed IR that parses) is a runtime error, not an index
+// panic, and both dispatchers report it at the same step with the same
+// accounting.
+func TestBuiltinArityTraps(t *testing.T) {
+	prog := ir.NewProgram()
+	b := ir.NewFunc("main")
+	b.Ext(ir.W32, b.Const(ir.W32, 3))
+	b.FPrint(b.FCall("sqrt"))
+	b.Ret(ir.NoReg)
+	prog.AddFunc(b.Fn)
+	sw, th, swErr, thErr := runBoth(t, prog, Options{Mode: Mode32, Profile: true, Cost: func(*ir.Instr) int64 { return 1 }})
+	assertIdentical(t, "sqrt()", sw, th, swErr, thErr)
+	if swErr == nil || !strings.Contains(swErr.Error(), "called with 0 arguments") {
+		t.Fatalf("want an arity error, got %v", swErr)
+	}
+}

@@ -237,7 +237,7 @@ func Run(prog *ir.Program, entry string, opt Options) (*Result, error) {
 		return &m.res, fmt.Errorf("%w: %s", ErrNoFunction, entry)
 	}
 	_, err := m.call(fn, nil, nil)
-	m.flushBCProfiles()
+	m.flushBC()
 	m.res.Output = m.out.String()
 	return &m.res, err
 }
@@ -615,6 +615,13 @@ func (m *machine) index(a *array, idx int64) (int64, error) {
 }
 
 func (m *machine) fbuiltin(ins *ir.Instr, regs []slot) (float64, error) {
+	arity := 1
+	if ins.Callee == "pow" {
+		arity = 2
+	}
+	if len(ins.Args) != arity {
+		return 0, fmt.Errorf("interp: float builtin %q called with %d arguments", ins.Callee, len(ins.Args))
+	}
 	arg := func(k int) float64 { return regs[ins.Args[k]].f }
 	switch ins.Callee {
 	case "sqrt":

@@ -6,6 +6,16 @@ import (
 	"strings"
 )
 
+// maxGlobals and maxRegs bound the globals count and register numbers a
+// program text may use: the interpreter allocates every global cell up
+// front and a register file per frame, and analyses size tables by register
+// count, so absurd values from untrusted text would exhaust memory before
+// anything runs. Compiled kernels use a few hundred registers.
+const (
+	maxGlobals = 1 << 20
+	maxRegs    = 1 << 16
+)
+
 // ParseProgram parses the textual IR form produced by Func.Format back into
 // a program, enabling golden tests, hand-written test inputs and tooling.
 // The accepted grammar is exactly what Format emits, plus an optional
@@ -37,7 +47,7 @@ func ParseProgram(src string) (*Program, error) {
 		switch {
 		case strings.HasPrefix(line, "globals "):
 			n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "globals ")))
-			if err != nil {
+			if err != nil || n < 0 || n > maxGlobals {
 				return nil, p.errf("bad globals count")
 			}
 			prog.NGlobals = n
@@ -46,6 +56,9 @@ func ParseProgram(src string) (*Program, error) {
 			fn, err := p.parseFunc()
 			if err != nil {
 				return nil, err
+			}
+			if prog.Func(fn.Name) != nil {
+				return nil, fmt.Errorf("ir: duplicate function %q", fn.Name)
 			}
 			prog.AddFunc(fn)
 		default:
@@ -114,7 +127,7 @@ func parseReg(s string) (Reg, error) {
 		return NoReg, fmt.Errorf("bad register %q", s)
 	}
 	n, err := strconv.Atoi(s[1:])
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n >= maxRegs {
 		return NoReg, fmt.Errorf("bad register %q", s)
 	}
 	return Reg(n), nil
@@ -295,7 +308,7 @@ func (p *irParser) parseInstr(fn *Func, line string) (*Instr, []string, error) {
 			continue
 		}
 		n, err := strconv.Atoi(suffix)
-		if err != nil {
+		if err != nil || (n != 8 && n != 16 && n != 32 && n != 64) {
 			return nil, nil, p.errf("bad mnemonic suffix %q in %q", suffix, mn)
 		}
 		ins.W = Width(n)

@@ -175,13 +175,18 @@ func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"func broken( {",
 		"func f() {\nb0:\n\tbogus.32 r1\n}",
-		"func f() {\n\tr0 = const 1\n}",                 // instruction before label
-		"func f() {\nb0:\n\tjmp -> nowhere\n}",          // unknown block
-		"func f() {\nb0:\n\tr0 = const 1\n",             // unterminated
-		"globals x\nfunc f() {\nb0:\n\tret\n}",          // bad globals
-		"func f(r0 quux) {\nb0:\n\tret\n}",              // bad param type
-		"func f() {\nb0:\n\tr0 = const\n}",              // missing immediate
-		"func f() {\nb0:\n\tr0 = add.32 r1 r2 r3 r4\n}", // too many operands
+		"func f() {\n\tr0 = const 1\n}",                                       // instruction before label
+		"func f() {\nb0:\n\tjmp -> nowhere\n}",                                // unknown block
+		"func f() {\nb0:\n\tr0 = const 1\n",                                   // unterminated
+		"globals x\nfunc f() {\nb0:\n\tret\n}",                                // bad globals
+		"globals -1\nfunc f() {\nb0:\n\tret\n}",                               // negative globals
+		"globals 99999999\nfunc f() {\nb0:\n\tret\n}",                         // globals beyond the interpreter's bound
+		"func f() {\n}\nfunc f() {\n}",                                        // duplicate function
+		"func f() {\nb0:\n\tr1999999999 = const 1\n\tret\n}",                  // register beyond the bound
+		"func f() {\nb0:\n\tr0 = const 1\n\tr1 = and.6499999 r0 r0\n\tret\n}", // no such width
+		"func f(r0 quux) {\nb0:\n\tret\n}",                                    // bad param type
+		"func f() {\nb0:\n\tr0 = const\n}",                                    // missing immediate
+		"func f() {\nb0:\n\tr0 = add.32 r1 r2 r3 r4\n}",                       // too many operands
 	}
 	for _, src := range cases {
 		if _, err := ParseProgram(src); err == nil {

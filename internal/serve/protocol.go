@@ -88,6 +88,7 @@ type ServerStats struct {
 	Degraded int64 `json:"degraded"` // 200 answers with Degraded set
 	Rejected int64 `json:"rejected"` // 429/503 answers
 	Failed   int64 `json:"failed"`   // 400/500 answers
+	Panics   int64 `json:"panics"`   // 500 answers from a recovered handler panic
 
 	Inflight int  `json:"inflight"` // requests holding a worker slot now
 	Queued   int  `json:"queued"`   // requests waiting for a slot now

@@ -83,6 +83,7 @@ type Server struct {
 	degraded atomic.Int64
 	rejected atomic.Int64
 	failed   atomic.Int64
+	panics   atomic.Int64
 
 	lat latRing
 
@@ -174,6 +175,7 @@ func (s *Server) Stats() ServerStats {
 		Degraded: s.degraded.Load(),
 		Rejected: s.rejected.Load(),
 		Failed:   s.failed.Load(),
+		Panics:   s.panics.Load(),
 		Inflight: len(s.sem),
 		Draining: s.draining.Load(),
 		Latency:  s.lat.stats(),
@@ -261,6 +263,18 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	defer s.pending.Add(-1)
 	s.inflight.Add(1)
 	defer s.inflight.Done()
+
+	// A panic anywhere below is a defect, but it must not reach net/http,
+	// which would log a goroutine dump and reset the connection. Answer 500
+	// with a structured body instead. Unwinding still runs compile's worker
+	// slot release and the admission releases deferred above.
+	defer func() {
+		if v := recover(); v != nil {
+			s.panics.Add(1)
+			s.failed.Add(1)
+			writeJSON(w, http.StatusInternalServerError, &CompileResponse{Error: fmt.Sprintf("internal error: %v", v)})
+		}
+	}()
 
 	var req CompileRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))

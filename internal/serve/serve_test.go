@@ -302,13 +302,15 @@ func TestHandlerMethodChecks(t *testing.T) {
 
 // TestMalformedIRAnsweredBeforeProfiling posts IR that parses but would
 // crash the interpreter, with a profile run requested: a function with no
-// blocks, and a load from a global cell the program does not have. Each must
-// be answered 400 before the profiling interpreter executes it.
+// blocks, a load from a global cell the program does not have, and a call
+// passing more arguments than the callee has registers. Each must be
+// answered 400 before the profiling interpreter executes it.
 func TestMalformedIRAnsweredBeforeProfiling(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	for _, body := range []string{
 		`{"ir": "func main() {\n}", "with_profile": true}`,
 		`{"ir": "globals 1\nfunc main() {\nb0:\n\tr0 = loadg.32 g5\n\tret\n}", "with_profile": true}`,
+		`{"ir": "func f(r0 i32) i32 {\nb0:\n\tret.32 r0\n}\nfunc main() {\nb0:\n\tr0 = const 1\n\tr1 = call f (r0, r0)\n\tret\n}", "with_profile": true}`,
 	} {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(body)))
@@ -319,5 +321,49 @@ func TestMalformedIRAnsweredBeforeProfiling(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !strings.HasPrefix(resp.Error, "ir: ") {
 			t.Fatalf("%s: want an ir: diagnostic, got %s (%v)", body, rec.Body, err)
 		}
+	}
+}
+
+// TestHandlerPanicAnswered500 pins the panic boundary: a panic inside the
+// compile path is answered 500 with a structured body and counted, the
+// worker slot it held is released, and the next request is served normally.
+func TestHandlerPanicAnswered500(t *testing.T) {
+	var calls atomic.Int64
+	s, err := New(Config{MaxInflight: 1, FaultDelay: func() time.Duration {
+		if calls.Add(1) == 1 {
+			panic("injected fault")
+		}
+		return 0
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func() (int, CompileResponse) {
+		t.Helper()
+		body := `{"source": "void main() { print(42); }", "run": true}`
+		r, err := ts.Client().Post(ts.URL+"/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /compile: %v", err)
+		}
+		defer r.Body.Close()
+		var resp CompileResponse
+		if err := json.NewDecoder(r.Body).Decode(&resp); err != nil {
+			t.Fatalf("status %d: undecodable body: %v", r.StatusCode, err)
+		}
+		return r.StatusCode, resp
+	}
+
+	code, resp := post()
+	if code != http.StatusInternalServerError || !strings.Contains(resp.Error, "injected fault") {
+		t.Fatalf("panicking request: status %d, error %q; want 500 naming the fault", code, resp.Error)
+	}
+	if st := s.Stats(); st.Panics != 1 || st.Failed != 1 || st.Inflight != 0 {
+		t.Fatalf("after the panic: panics %d, failed %d, inflight %d; want 1, 1, 0", st.Panics, st.Failed, st.Inflight)
+	}
+	code, resp = post()
+	if code != http.StatusOK || resp.Output != "42\n" {
+		t.Fatalf("next request: status %d, output %q, error %q; want 200 printing 42", code, resp.Output, resp.Error)
 	}
 }
