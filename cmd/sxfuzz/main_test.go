@@ -56,4 +56,13 @@ func TestRunBadUsage(t *testing.T) {
 	if code := run([]string{"stray"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("stray arg: exit %d", code)
 	}
+	stderr.Reset()
+	if code := run([]string{"-props", "bogus"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-props bogus: exit %d", code)
+	}
+	for _, name := range difftest.PropNames() {
+		if !strings.Contains(stderr.String(), name) {
+			t.Errorf("-props bogus diagnostic does not list %s:\n%s", name, stderr.String())
+		}
+	}
 }

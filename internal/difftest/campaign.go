@@ -89,6 +89,11 @@ type CampaignResult struct {
 	OK             bool     `json:"ok"`
 }
 
+// chaosProp is the Repro.Prop of a planted-fault finding. It is no row of
+// the property table: the campaign plants the fault, and ChaosCaught, not
+// Check, replays it.
+const chaosProp = "chaos-dropext"
+
 // finding is one failing program awaiting minimization.
 type finding struct {
 	idx       int
@@ -132,12 +137,12 @@ func Campaign(cfg CampaignConfig) (*CampaignResult, error) {
 				p, err := Generate(seed, kind, cfg.Gen)
 				mu.Lock()
 				res.Programs++
-				mu.Unlock()
 				if err != nil {
-					mu.Lock()
 					res.Failures++
 					res.FailureDetails = append(res.FailureDetails, err.Error())
-					mu.Unlock()
+				}
+				mu.Unlock()
+				if err != nil {
 					continue
 				}
 				if cfg.Chaos {
@@ -148,7 +153,7 @@ func Campaign(cfg CampaignConfig) (*CampaignResult, error) {
 						if caught {
 							res.Caught++
 							findings = append(findings, finding{
-								idx: i, prog: p, prop: "chaos-dropext",
+								idx: i, prog: p, prop: chaosProp,
 								machine: cfg.Check.withDefaults().Machines[0],
 								detail:  detail, chaosSeed: seed,
 							})
@@ -210,9 +215,8 @@ feed:
 	return res, nil
 }
 
-// replayCorpus runs every directed corpus entry under Corpus through the
-// property its "; prop:" header names (plus the campaign's configured set),
-// focused on the "; rule:" it targets when one is named. Entries count as
+// replayCorpus replays every directed corpus entry under Corpus with the
+// campaign's check configuration (see Repro.Replay). Entries count as
 // programs; a failing entry fails the campaign like any generated program.
 func replayCorpus(cfg CampaignConfig, res *CampaignResult) error {
 	paths, err := filepath.Glob(filepath.Join(cfg.Corpus, "*.ir"))
@@ -229,22 +233,8 @@ func replayCorpus(cfg CampaignConfig, res *CampaignResult) error {
 		if err != nil {
 			return fmt.Errorf("corpus %s: %w", path, err)
 		}
-		c := cfg.Check
-		switch r.Prop {
-		case "peep-identity":
-			c.Peep = true
-			if r.Rule != "" {
-				c.PeepRules = []string{r.Rule}
-			}
-		case "cache-identity":
-			c.Cache = true
-		case "profile-identity":
-			c.Tiered = true
-		case "dispatch-identity":
-			c.Dispatch = true
-		}
 		res.Programs++
-		fails, skipped := Check(&Program{Kind: r.Kind, Seed: r.Seed, Prog: r.Prog}, c)
+		fails, skipped := r.Replay(cfg.Check)
 		if skipped {
 			res.Skipped++
 		}
@@ -276,11 +266,15 @@ func minimizeFindings(cfg CampaignConfig, findings []finding, res *CampaignResul
 		if f.chaosSeed == 0 && seenProp[f.prop] >= 2 {
 			continue
 		}
-		var pred Predicate
+		pred := propPredicate(f.prop, f.machine, cfg.Check)
 		if f.chaosSeed != 0 {
-			pred = chaosPredicate(f.chaosSeed, cfg.Check)
-		} else {
-			pred = propPredicate(f.prop, f.machine, cfg.Check)
+			// Replaying the injector's RNG on a shrunk candidate would pick
+			// a different extension, so a chaos finding shrinks under the
+			// deterministic generalization ChaosCaught: the reproducer keeps
+			// the property "this program has a load-bearing extension the
+			// oracle can see". The injector seed stays in its header for
+			// provenance only.
+			pred = func(cand *ir.Program) bool { return ChaosCaught(cand, f.machine, shrinkMaxSteps) }
 		}
 		if !pred(f.prog.Prog) {
 			continue // not reproducible under the shrink budget; keep the seed in the log
@@ -319,9 +313,7 @@ func minimizeFindings(cfg CampaignConfig, findings []finding, res *CampaignResul
 func chaosCheck(p *Program, chaosSeed int64, c Config) (planted, caught bool, detail string) {
 	c = c.withDefaults()
 	mach := c.Machines[0]
-	res, err := jit.Compile(p.Prog, jit.Options{
-		Variant: jit.All, Machine: mach, GeneralOpts: true, Checked: true, Parallelism: 1,
-	})
+	res, err := jit.Compile(p.Prog, guarded(mach))
 	if err != nil {
 		return false, false, ""
 	}
@@ -344,20 +336,6 @@ func chaosCheck(p *Program, chaosSeed int64, c Config) (planted, caught bool, de
 	return true, false, ""
 }
 
-// chaosPredicate is the shrinking form of the planted-fault scenario. The
-// campaign plants with the seeded injector, but replaying the same RNG on a
-// shrunk candidate would pick a different extension, so the predicate uses
-// the deterministic generalization ChaosCaught: the reproducer keeps the
-// property "this program has a load-bearing extension the oracle can see".
-func chaosPredicate(chaosSeed int64, c Config) Predicate {
-	_ = chaosSeed // kept in the reproducer header for provenance only
-	c = c.withDefaults()
-	mach := c.Machines[0]
-	return func(cand *ir.Program) bool {
-		return ChaosCaught(cand, mach, shrinkMaxSteps)
-	}
-}
-
 // ChaosCaught compiles prog through the full pipeline and then deletes each
 // remaining same-register extension from the optimized build, one at a time
 // in program order, asking the oracle about each mutant. It reports whether
@@ -367,9 +345,7 @@ func ChaosCaught(prog *ir.Program, mach ir.Machine, maxSteps int64) bool {
 	// Checked compilation matches the main engine: a candidate the deep
 	// verifier rejects (e.g. the shrinker deleted a reaching definition) is
 	// not a valid reproducer even if the interpreter tolerates it.
-	res, err := jit.Compile(prog, jit.Options{
-		Variant: jit.All, Machine: mach, GeneralOpts: true, Checked: true, Parallelism: 1,
-	})
+	res, err := jit.Compile(prog, guarded(mach))
 	if err != nil {
 		return false
 	}
@@ -403,36 +379,18 @@ func dropExtAt(prog *ir.Program, k int) bool {
 	return false
 }
 
-// propPredicate replays the full property check on a candidate and requires
-// a failure of the same property. Oracle-class properties shrink in
-// oracle-only mode; metamorphic ones need the heavy set.
+// propPredicate replays the property check on a candidate with prop named
+// and requires a failure of prop, on the finding's machine (every machine
+// for a property that compares them). A property whose named schedule is
+// the heavy sample replays the heavy set; any other shrinks oracle-only.
 func propPredicate(prop string, mach ir.Machine, c Config) Predicate {
-	c = c.withDefaults()
+	p := lookup(prop)
+	c.Props = append(c.Props[:len(c.Props):len(c.Props)], prop)
 	c.MaxSteps = shrinkMaxSteps
+	c.OracleOnly = p == nil || p.named != heavy
 	c.Machines = []ir.Machine{mach}
-	switch prop {
-	case "parallel-identity", "budget", "fixpoint":
-		c.OracleOnly = false
-	case "cache-identity":
-		c.OracleOnly = false
-		c.Cache = true
-	case "profile-identity":
-		c.OracleOnly = false
-		c.Tiered = true
-	case "dispatch-identity":
-		// The property itself is cheap; shrink in oracle-only mode with the
-		// explicit opt-in so replay skips the unrelated heavy properties.
-		c.OracleOnly = true
-		c.Dispatch = true
-	case "peep-identity":
-		// Same shape as dispatch-identity: cheap opt-in, oracle-only replay.
-		c.OracleOnly = true
-		c.Peep = true
-	default:
-		c.OracleOnly = true
-	}
-	if prop == "cross-machine" {
-		c.Machines = []ir.Machine{ir.IA64, ir.PPC64}
+	if p != nil && p.allMachines {
+		c.Machines = nil // the defaults: every machine
 	}
 	return func(cand *ir.Program) bool {
 		fails, skipped := Check(&Program{Kind: "ir", Prog: cand}, c)

@@ -1,41 +1,14 @@
 // Package difftest is the differential and metamorphic testing engine for
-// the sign extension elimination pipeline. For each generated program it
-// checks, against the real jit pipeline:
-//
-//   - the differential oracle: the fully eliminated build must reproduce the
-//     unoptimized Convert64-only build bit-for-bit (output and trap
-//     identity) and never execute more dynamic extensions;
-//   - the 32-bit reference: the Convert64-only 64-bit build must reproduce
-//     the frontend's 32-bit-form semantics (this is Convert64's own
-//     correctness contract);
-//   - cross-machine agreement: the IA64 and PPC64 reference outputs match;
-//   - the guarded pipeline compiles every valid program with zero fallbacks;
-//   - lowering cost invariants: IA64 sxt1/2/4 counts equal the surviving
-//     OpExt count, PPC64 extsb/h/w counts equal it plus one per byte load
-//     (the model pairs lbz with extsb);
-//   - parallel identity: Parallelism=1 and Parallelism=N produce
-//     bit-identical results;
-//   - dispatch identity: the token-threaded bytecode interpreter and the
-//     reference tree walker agree bit-for-bit — output, traps, step and
-//     cycle accounting, dynamic extension counts, branch profiles — on both
-//     the profiling-tier and optimized-tier configurations;
-//   - cache identity (opt-in via Config.Cache): warm compile-cache hits are
-//     bit-identical to the cold compile that populated the cache, at every
-//     worker count;
-//   - profile identity (opt-in via Config.Tiered): executing under the
-//     tiered runtime — interpreter tier first, promotion to the compiled
-//     tier mid-run — is bit-identical, in output and trap behaviour, to the
-//     32-bit reference, and the steady-state Finalize artifact equals a
-//     one-shot compile fed the gathered profile (the frozen-profile
-//     invariant), at every worker count;
-//   - budget monotonicity: Stats.Eliminated is monotone non-decreasing in
-//     ElimBudget (exhaustion falls a function back to Convert64-only);
-//   - fixpoint convergence: re-running Eliminate on its own output keeps
-//     semantics, never increases the static extension count, and reaches a
-//     textual fixpoint within a few iterations. (Strict single-pass
-//     idempotence is empirically false — a second pass occasionally finds
-//     one more eliminable extension — so the property checked is
-//     convergence, not no-op; see DESIGN.md §8.)
+// the sign extension elimination pipeline. Check runs the property table
+// (properties) on each generated program against the real jit pipeline: the
+// differential oracle (the fully eliminated build reproduces the
+// Convert64-only build bit-for-bit), the 32-bit reference, cross-machine
+// agreement, zero fallbacks, lowering cost invariants, and the metamorphic
+// identities — parallel, dispatch, peep, cache, profile and serve — plus
+// budget monotonicity and fixpoint convergence. Each row names a property,
+// its schedule (every program, the heavy sample, or only when named in
+// Config.Props) and its check; the check methods document what each
+// property demands.
 //
 // Failures are minimized by the shrinker (shrink.go) and persisted as
 // self-contained reproducers (repro.go) which regress_test.go replays as
@@ -47,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"signext/internal/codecache"
@@ -97,52 +71,19 @@ type Config struct {
 	Parallelism int          // worker count of the parallel-identity leg (default 4)
 	FixpointK   int          // Eliminate iterations allowed to converge (default 4)
 
-	// Cache adds the cache-identity metamorphic property: compiling through a
-	// freshly populated compile cache (warm hit) must be bit-identical to the
-	// cold compile that populated it, at every worker count.
-	Cache bool
-
-	// Tiered adds the profile-identity metamorphic property: tiered execution
-	// (functions promoted from the interpreter tier mid-run) must reproduce
-	// the 32-bit reference bit-for-bit on every invocation, and its
-	// steady-state Finalize artifact must equal a one-shot compile fed the
-	// gathered profile, at every worker count.
-	Tiered bool
-
-	// Dispatch adds the dispatch-identity property: the token-threaded
-	// bytecode interpreter must be bit-identical to the reference tree
-	// walker — same output, trap, step count, cycle split, dynamic
-	// extension count, branch profile and call counts — on both the
-	// profiling-tier configuration (Mode32 on the source program) and the
-	// optimized-tier configuration (Mode64 on the compiled program). The
-	// property also runs as part of the default heavy set.
-	Dispatch bool
-
-	// Peep adds the peep-identity property: a build with the rule-table
-	// peephole pass enabled must reproduce the reference build's output and
-	// trap behaviour exactly, under both interpreter dispatchers. Only
-	// observable behaviour is compared — the shift-ext rule may legitimately
-	// materialize extension instructions, so dynamic extension counts are
-	// out of scope for this property (unlike the oracle's).
-	Peep bool
+	// Props names properties to run on their named schedule instead of
+	// their default one (see the property table). Names outside the table
+	// are ignored, so a reproducer's property can always be named.
+	Props []string
 
 	// PeepRules restricts the peep-identity property's pass to the named
 	// rules (nil = the whole table) — the focused mode for replaying a
 	// directed corpus entry against the one rule it targets.
 	PeepRules []string
 
-	// Serve adds the serve-identity property: the same program submitted to
-	// an in-process compile daemon (internal/serve) must produce the same
-	// static results and the same output/trap as the direct jit compile —
-	// and a second request forced to the degraded floor by a hostile
-	// deadline must still reproduce the reference output. The daemon is
-	// exercised through its real HTTP handler, not by calling into the
-	// pipeline directly.
-	Serve bool
-
-	// OracleOnly restricts Check to the differential oracle and fallback
-	// properties — the fast mode for high-throughput campaigns; the
-	// metamorphic properties then run on a sample, not every program.
+	// OracleOnly marks a program outside the heavy sample: properties whose
+	// schedule is heavy skip it — the fast mode for high-throughput
+	// campaigns.
 	OracleOnly bool
 }
 
@@ -165,9 +106,97 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// schedule says which programs a property checks.
+type schedule uint8
+
+const (
+	never schedule = iota
+	heavy          // heavy-sample programs only: Config.OracleOnly unset
+	every
+)
+
+// property is one row of the property table.
+type property struct {
+	name           string // the Failure.Prop of its findings
+	unnamed, named schedule
+	// allMachines marks a property that compares machines: a finding of it
+	// re-checks on every machine, not only the one it was reported on.
+	allMachines bool
+	check       func(l *leg, fail failFunc)
+}
+
+// properties is the property table, in the order Check runs it. Every
+// caller reaches a property through its name here: Check, sxfuzz -props,
+// the shrink predicate and reproducer replay. The check methods document
+// what each property demands.
+var properties = []property{
+	// name, unnamed, named, allMachines, check
+	{"compile", every, every, false, (*leg).compiled},
+	{"fallback", every, every, false, (*leg).noFallback},
+	{"oracle", every, every, false, (*leg).oracle},
+	{"mode32", every, every, false, (*leg).mode32},
+	{"lowering", every, every, false, one((*leg).loweringDetail)},
+	{"dispatch-identity", heavy, every, false, one((*leg).dispatchDetail)},
+	{"peep-identity", never, every, false, one((*leg).peepDetail)},
+	{"parallel-identity", heavy, heavy, false, (*leg).parallelIdentity},
+	{"cache-identity", never, heavy, false, (*leg).cacheIdentity},
+	{"serve-identity", never, heavy, false, one((*leg).serveDetail)},
+	{"profile-identity", never, heavy, false, (*leg).profileIdentity},
+	{"budget", heavy, heavy, false, (*leg).budgetMonotone},
+	{"fixpoint", heavy, heavy, false, (*leg).fixpoint},
+	{"cross-machine", every, every, true, (*leg).crossMachine},
+}
+
+// runs reports whether the property checks a program under c.
+func (p *property) runs(c Config) bool {
+	s := p.unnamed
+	if slices.Contains(c.Props, p.name) {
+		s = p.named
+	}
+	return s == every || s == heavy && !c.OracleOnly
+}
+
+// lookup returns the table row called name, or nil.
+func lookup(name string) *property {
+	for i := range properties {
+		if properties[i].name == name {
+			return &properties[i]
+		}
+	}
+	return nil
+}
+
+// PropNames lists, in table order, the properties whose schedule naming
+// widens: the values of sxfuzz -props that change a campaign.
+func PropNames() []string {
+	var names []string
+	for _, p := range properties {
+		if p.named != p.unnamed {
+			names = append(names, p.name)
+		}
+	}
+	return names
+}
+
+// ParseProps splits a comma-separated list of property names, rejecting any
+// name PropNames does not list.
+func ParseProps(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	valid, names := PropNames(), strings.Split(list, ",")
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		if !slices.Contains(valid, names[i]) {
+			return nil, fmt.Errorf("unknown property %q (valid: %s)", names[i], strings.Join(valid, ", "))
+		}
+	}
+	return names, nil
+}
+
 // Failure is one property violation on one program.
 type Failure struct {
-	Prop    string // property name: "oracle", "fallback", "lowering", ...
+	Prop    string // name of the property table row that failed
 	Machine ir.Machine
 	Detail  string
 }
@@ -176,16 +205,41 @@ func (f Failure) String() string {
 	return fmt.Sprintf("[%s/%v] %s", f.Prop, f.Machine, f.Detail)
 }
 
-// Check runs every configured property on one program. skipped reports that
+// failFunc records one failure of the property being checked.
+type failFunc func(format string, args ...interface{})
+
+// one adapts a check that reports at most one failure, as a detail string
+// that is empty when the property holds.
+func one(detail func(*leg) string) func(*leg, failFunc) {
+	return func(l *leg, fail failFunc) {
+		if d := detail(l); d != "" {
+			fail("%s", d)
+		}
+	}
+}
+
+// leg is one machine's share of a Check: the guarded compile, the oracle's
+// report on it, and the 32-bit-form reference run every property compares
+// against.
+type leg struct {
+	p        *Program
+	cfg      Config
+	mach     ir.Machine
+	res      *jit.Result
+	err      error // compile error; no row past the compile row runs then
+	rep      *guard.Report
+	oerr     error // the differential oracle's verdict
+	ref32    *interp.Result
+	ref32Err error
+	legs     []*leg // every machine's leg of this Check
+}
+
+// Check runs every scheduled property on one program. skipped reports that
 // the program proved nothing (its reference run hit the step limit) and
 // should not count as covered. An empty failure list means every property
 // held.
 func Check(p *Program, cfg Config) (fails []Failure, skipped bool) {
 	cfg = cfg.withDefaults()
-	fail := func(prop string, mach ir.Machine, format string, args ...interface{}) {
-		fails = append(fails, Failure{Prop: prop, Machine: mach, Detail: fmt.Sprintf(format, args...)})
-	}
-
 	// The 32-bit-form reference semantics: ground truth for everything.
 	ref32, ref32Err := interp.Run(p.Prog, "main", interp.Options{
 		Mode: interp.Mode32, MaxSteps: cfg.MaxSteps,
@@ -194,212 +248,208 @@ func Check(p *Program, cfg Config) (fails []Failure, skipped bool) {
 		return nil, true
 	}
 
-	refOut := map[ir.Machine]string{}
-	for _, mach := range cfg.Machines {
-		opts := jit.Options{
-			Variant: jit.All, Machine: mach, GeneralOpts: true,
-			Checked: true, Parallelism: 1,
-		}
-		res, err := jit.Compile(p.Prog, opts)
-		if err != nil {
-			fail("compile", mach, "guarded compile failed: %v", err)
+	legs := make([]*leg, len(cfg.Machines))
+	for i, mach := range cfg.Machines {
+		l := &leg{p: p, cfg: cfg, mach: mach, ref32: ref32, ref32Err: ref32Err, legs: legs}
+		legs[i] = l
+		if l.res, l.err = jit.Compile(p.Prog, guarded(mach)); l.err != nil {
 			continue
 		}
-		for _, fb := range res.Fallbacks {
-			fail("fallback", mach, "pipeline fell back on valid input: %v", fb)
-		}
-
 		// Differential oracle: Convert64-only reference vs fully eliminated.
-		oracle := guard.Oracle{Machine: mach, MaxSteps: cfg.MaxSteps}
-		rep, oerr := oracle.Check(p.Prog, res.Prog)
-		if errors.Is(rep.RefErr, interp.ErrStepLimit) && errors.Is(rep.OptErr, interp.ErrStepLimit) {
+		l.rep, l.oerr = guard.Oracle{Machine: mach, MaxSteps: cfg.MaxSteps}.Check(p.Prog, l.res.Prog)
+		if errors.Is(l.rep.RefErr, interp.ErrStepLimit) && errors.Is(l.rep.OptErr, interp.ErrStepLimit) {
 			return nil, true
 		}
-		if oerr != nil {
-			fail("oracle", mach, "%v", oerr)
-		}
-		if rep.RefErr == nil {
-			refOut[mach] = rep.RefOutput
-		}
-
-		// Convert64 contract: the 64-bit reference build reproduces the
-		// 32-bit-form semantics exactly.
-		if (ref32Err != nil) != (rep.RefErr != nil) {
-			fail("mode32", mach, "trap mismatch: 32-bit form %v, Convert64 reference %v", ref32Err, rep.RefErr)
-		} else if ref32.Output != rep.RefOutput {
-			fail("mode32", mach, "output mismatch:\n32-bit form %q\nConvert64 reference %q", ref32.Output, rep.RefOutput)
-		}
-
-		if d := loweringDetail(res.Prog, mach); d != "" {
-			fail("lowering", mach, "%s", d)
-		}
-
-		// Dispatch identity: cheap enough (two extra interpreter runs per
-		// leg) to run in the heavy set by default, and separately opt-in
-		// for focused campaigns.
-		if cfg.Dispatch || !cfg.OracleOnly {
-			if d := dispatchDetail(p.Prog, res.Prog, mach, cfg.MaxSteps); d != "" {
-				fail("dispatch-identity", mach, "%s", d)
-			}
-		}
-
-		// Peep identity: like dispatch identity, cheap enough to gate only on
-		// its opt-in, not on the heavy set, so directed corpus entries replay
-		// it in oracle-only campaigns.
-		if cfg.Peep {
-			if d := peepDetail(p.Prog, mach, rep.RefOutput, rep.RefErr, cfg); d != "" {
-				fail("peep-identity", mach, "%s", d)
-			}
-		}
-
-		if cfg.OracleOnly {
-			continue
-		}
-
-		// Parallel identity: worker count must not change the result.
-		popts := opts
-		popts.Parallelism = cfg.Parallelism
-		pres, err := jit.Compile(p.Prog, popts)
-		if err != nil {
-			fail("parallel-identity", mach, "parallel compile failed: %v", err)
-		} else if fingerprint(res) != fingerprint(pres) {
-			fail("parallel-identity", mach, "Parallelism=1 and Parallelism=%d results differ", cfg.Parallelism)
-		}
-
-		// Cache identity: a warm cache hit must reproduce the cold compile
-		// bit-for-bit at every worker count, and the cold cached compile must
-		// match the uncached one.
-		if cfg.Cache {
-			cache := codecache.New(64 << 20)
-			copts := opts
-			copts.Cache = cache
-			cold, cerr := jit.Compile(p.Prog, copts)
-			if cerr != nil {
-				fail("cache-identity", mach, "cold cached compile failed: %v", cerr)
-			} else if fingerprint(cold) != fingerprint(res) {
-				fail("cache-identity", mach, "cold compile through the cache differs from the uncached compile")
-			} else {
-				for _, par := range []int{1, cfg.Parallelism} {
-					wopts := copts
-					wopts.Parallelism = par
-					warm, werr := jit.Compile(p.Prog, wopts)
-					if werr != nil {
-						fail("cache-identity", mach, "warm compile (par=%d) failed: %v", par, werr)
-						continue
-					}
-					if warm.CacheStats == nil || warm.CacheStats.Misses != 0 || warm.CacheStats.Hits == 0 {
-						fail("cache-identity", mach, "warm compile (par=%d) was not fully warm: %+v", par, warm.CacheStats)
-					}
-					if fingerprint(warm) != fingerprint(cold) {
-						fail("cache-identity", mach, "warm cache hit (par=%d) differs from the cold compile", par)
-					}
-				}
-			}
-		}
-
-		// Serve identity: the daemon's answer over its real HTTP handler
-		// must agree with the direct compile, healthy and degraded.
-		if cfg.Serve {
-			if d := serveDetail(p, mach, res, rep, cfg); d != "" {
-				fail("serve-identity", mach, "%s", d)
-			}
-		}
-
-		// Profile identity: the tiered runtime promotes every function after
-		// its first call (threshold 1), so later invocations run compiled
-		// bodies mid-profile. Every invocation must reproduce the 32-bit
-		// reference exactly, and by the frozen-profile invariant the
-		// steady-state artifact must equal a one-shot compile fed the
-		// gathered profile.
-		if cfg.Tiered {
-			for _, par := range []int{1, cfg.Parallelism} {
-				topts := opts
-				topts.Parallelism = par
-				mgr, terr := tiered.New(p.Prog, tiered.Config{
-					Options: topts, HotThreshold: 1, MaxSteps: cfg.MaxSteps,
-				})
-				if terr != nil {
-					fail("profile-identity", mach, "tiered manager (par=%d): %v", par, terr)
-					continue
-				}
-				proved := true
-				for i := 1; i <= 3; i++ {
-					tres, ierr := mgr.Invoke()
-					if errors.Is(ierr, interp.ErrStepLimit) {
-						proved = false // step-limited invocation proves nothing
-						break
-					}
-					if (ierr != nil) != (ref32Err != nil) {
-						fail("profile-identity", mach, "invocation %d (par=%d) trap mismatch: tiered %v, 32-bit reference %v",
-							i, par, ierr, ref32Err)
-						proved = false
-						break
-					}
-					if tres.Output != ref32.Output {
-						fail("profile-identity", mach, "invocation %d (par=%d) output mismatch:\ntiered %q\n32-bit reference %q",
-							i, par, tres.Output, ref32.Output)
-						proved = false
-						break
-					}
-				}
-				if !proved {
-					continue
-				}
-				final, ferr := mgr.Finalize()
-				if ferr != nil {
-					fail("profile-identity", mach, "finalize (par=%d): %v", par, ferr)
-					continue
-				}
-				sopts := topts
-				sopts.Profile = mgr.Profile().ToInterp()
-				oneshot, serr := jit.Compile(p.Prog, sopts)
-				if serr != nil {
-					fail("profile-identity", mach, "one-shot profile compile (par=%d): %v", par, serr)
-					continue
-				}
-				if fingerprint(final) != fingerprint(oneshot) {
-					fail("profile-identity", mach, "steady-state artifact (par=%d) differs from the one-shot compile with the gathered profile", par)
-				}
-			}
-		}
-
-		// Budget monotonicity: a larger work budget never eliminates less.
-		prev, prevBudget := -1, 0
-		for _, budget := range append(append([]int{}, cfg.Budgets...), 0) {
-			bopts := opts
-			bopts.ElimBudget = budget
-			bres, err := jit.Compile(p.Prog, bopts)
-			if err != nil {
-				fail("budget", mach, "compile with budget %d failed: %v", budget, err)
-				break
-			}
-			if prev >= 0 && bres.Stats.Eliminated < prev {
-				fail("budget", mach, "eliminated count not monotone: budget %d eliminated %d, budget %d eliminated %d",
-					prevBudget, prev, budget, bres.Stats.Eliminated)
-			}
-			prev, prevBudget = bres.Stats.Eliminated, budget
-		}
-
-		checkFixpoint(res, mach, cfg, p, fail)
 	}
-
-	// Cross-machine agreement of the reference builds.
-	if a, aok := refOut[ir.IA64]; aok {
-		if b, bok := refOut[ir.PPC64]; bok && a != b {
-			fail("cross-machine", ir.IA64, "IA64 and PPC64 reference outputs differ:\nia64 %q\nppc64 %q", a, b)
+	for _, l := range legs {
+		for i := range properties {
+			prop := &properties[i]
+			if !prop.runs(cfg) {
+				continue
+			}
+			prop.check(l, func(format string, args ...interface{}) {
+				fails = append(fails, Failure{Prop: prop.name, Machine: l.mach, Detail: fmt.Sprintf(format, args...)})
+			})
+			if l.err != nil {
+				break // no build to check past the compile row
+			}
 		}
 	}
 	return fails, false
 }
 
-// checkFixpoint re-runs the elimination phase on its own output: the static
+// guarded is the options of the fully eliminating guarded compile the
+// properties start from.
+func guarded(mach ir.Machine) jit.Options {
+	return jit.Options{Variant: jit.All, Machine: mach, GeneralOpts: true, Checked: true, Parallelism: 1}
+}
+
+// compiled: the guarded pipeline compiles every valid program.
+func (l *leg) compiled(fail failFunc) {
+	if l.err != nil {
+		fail("guarded compile failed: %v", l.err)
+	}
+}
+
+// noFallback: the guarded pipeline never falls back on a valid program.
+func (l *leg) noFallback(fail failFunc) {
+	for _, fb := range l.res.Fallbacks {
+		fail("pipeline fell back on valid input: %v", fb)
+	}
+}
+
+// oracle: the fully eliminated build reproduces the unoptimized
+// Convert64-only build bit-for-bit (output and trap identity) and never
+// executes more dynamic extensions.
+func (l *leg) oracle(fail failFunc) {
+	if l.oerr != nil {
+		fail("%v", l.oerr)
+	}
+}
+
+// mode32: the Convert64-only 64-bit build reproduces the frontend's
+// 32-bit-form semantics exactly — Convert64's own correctness contract.
+func (l *leg) mode32(fail failFunc) {
+	if (l.ref32Err != nil) != (l.rep.RefErr != nil) {
+		fail("trap mismatch: 32-bit form %v, Convert64 reference %v", l.ref32Err, l.rep.RefErr)
+	} else if l.ref32.Output != l.rep.RefOutput {
+		fail("output mismatch:\n32-bit form %q\nConvert64 reference %q", l.ref32.Output, l.rep.RefOutput)
+	}
+}
+
+// crossMachine: the IA64 and PPC64 reference builds agree on the output.
+func (l *leg) crossMachine(fail failFunc) {
+	for _, o := range l.legs {
+		if l.mach == ir.IA64 && o.mach == ir.PPC64 && o.rep != nil && l.rep.RefErr == nil && o.rep.RefErr == nil &&
+			l.rep.RefOutput != o.rep.RefOutput {
+			fail("IA64 and PPC64 reference outputs differ:\nia64 %q\nppc64 %q", l.rep.RefOutput, o.rep.RefOutput)
+		}
+	}
+}
+
+// parallelIdentity: Parallelism=1 and Parallelism=N produce bit-identical
+// results.
+func (l *leg) parallelIdentity(fail failFunc) {
+	popts := guarded(l.mach)
+	popts.Parallelism = l.cfg.Parallelism
+	pres, err := jit.Compile(l.p.Prog, popts)
+	if err != nil {
+		fail("parallel compile failed: %v", err)
+	} else if fingerprint(l.res) != fingerprint(pres) {
+		fail("Parallelism=1 and Parallelism=%d results differ", l.cfg.Parallelism)
+	}
+}
+
+// cacheIdentity: compiling through a freshly populated compile cache must
+// reproduce the uncached compile, and a warm cache hit the cold compile that
+// populated it, bit-for-bit at every worker count.
+func (l *leg) cacheIdentity(fail failFunc) {
+	copts := guarded(l.mach)
+	copts.Cache = codecache.New(64 << 20)
+	cold, cerr := jit.Compile(l.p.Prog, copts)
+	if cerr != nil {
+		fail("cold cached compile failed: %v", cerr)
+		return
+	}
+	if fingerprint(cold) != fingerprint(l.res) {
+		fail("cold compile through the cache differs from the uncached compile")
+		return
+	}
+	for _, par := range []int{1, l.cfg.Parallelism} {
+		wopts := copts
+		wopts.Parallelism = par
+		warm, werr := jit.Compile(l.p.Prog, wopts)
+		if werr != nil {
+			fail("warm compile (par=%d) failed: %v", par, werr)
+			continue
+		}
+		if warm.CacheStats == nil || warm.CacheStats.Misses != 0 || warm.CacheStats.Hits == 0 {
+			fail("warm compile (par=%d) was not fully warm: %+v", par, warm.CacheStats)
+		}
+		if fingerprint(warm) != fingerprint(cold) {
+			fail("warm cache hit (par=%d) differs from the cold compile", par)
+		}
+	}
+}
+
+// profileIdentity: under the tiered runtime, which promotes every function
+// after its first call (threshold 1) so later invocations run compiled
+// bodies mid-profile, every invocation reproduces the 32-bit reference
+// exactly, and by the frozen-profile invariant the steady-state Finalize
+// artifact equals a one-shot compile fed the gathered profile, at every
+// worker count.
+func (l *leg) profileIdentity(fail failFunc) {
+pars:
+	for _, par := range []int{1, l.cfg.Parallelism} {
+		topts := guarded(l.mach)
+		topts.Parallelism = par
+		mgr, terr := tiered.New(l.p.Prog, tiered.Config{
+			Options: topts, HotThreshold: 1, MaxSteps: l.cfg.MaxSteps,
+		})
+		if terr != nil {
+			fail("tiered manager (par=%d): %v", par, terr)
+			continue
+		}
+		for i := 1; i <= 3; i++ {
+			tres, ierr := mgr.Invoke()
+			switch {
+			case errors.Is(ierr, interp.ErrStepLimit):
+				continue pars // a step-limited invocation proves nothing
+			case (ierr != nil) != (l.ref32Err != nil):
+				fail("invocation %d (par=%d) trap mismatch: tiered %v, 32-bit reference %v", i, par, ierr, l.ref32Err)
+				continue pars
+			case tres.Output != l.ref32.Output:
+				fail("invocation %d (par=%d) output mismatch:\ntiered %q\n32-bit reference %q", i, par, tres.Output, l.ref32.Output)
+				continue pars
+			}
+		}
+		final, ferr := mgr.Finalize()
+		if ferr != nil {
+			fail("finalize (par=%d): %v", par, ferr)
+			continue
+		}
+		sopts := topts
+		sopts.Profile = mgr.Profile().ToInterp()
+		oneshot, serr := jit.Compile(l.p.Prog, sopts)
+		if serr != nil {
+			fail("one-shot profile compile (par=%d): %v", par, serr)
+			continue
+		}
+		if fingerprint(final) != fingerprint(oneshot) {
+			fail("steady-state artifact (par=%d) differs from the one-shot compile with the gathered profile", par)
+		}
+	}
+}
+
+// budgetMonotone: Stats.Eliminated is monotone non-decreasing in ElimBudget
+// (exhaustion falls a function back to Convert64-only).
+func (l *leg) budgetMonotone(fail failFunc) {
+	prev, prevBudget := -1, 0
+	for _, budget := range append(append([]int{}, l.cfg.Budgets...), 0) {
+		bopts := guarded(l.mach)
+		bopts.ElimBudget = budget
+		bres, err := jit.Compile(l.p.Prog, bopts)
+		if err != nil {
+			fail("compile with budget %d failed: %v", budget, err)
+			break
+		}
+		if prev >= 0 && bres.Stats.Eliminated < prev {
+			fail("eliminated count not monotone: budget %d eliminated %d, budget %d eliminated %d",
+				prevBudget, prev, budget, bres.Stats.Eliminated)
+		}
+		prev, prevBudget = bres.Stats.Eliminated, budget
+	}
+}
+
+// fixpoint re-runs the elimination phase on its own output: the static
 // extension count must never grow, the IR must reach a textual fixpoint
 // within FixpointK iterations, and the converged program must still satisfy
-// the oracle.
-func checkFixpoint(res *jit.Result, mach ir.Machine, cfg Config, p *Program,
-	fail func(prop string, mach ir.Machine, format string, args ...interface{})) {
-	clone := res.Prog.Clone()
-	ecfg := extelim.Config{Machine: mach, Insert: true, Order: true, Array: true}
+// the oracle. (Strict single-pass idempotence is empirically false — a
+// second pass occasionally finds one more eliminable extension — so the
+// property is convergence, not no-op; see DESIGN.md §8.)
+func (l *leg) fixpoint(fail failFunc) {
+	clone := l.res.Prog.Clone()
+	ecfg := extelim.Config{Machine: l.mach, Insert: true, Order: true, Array: true}
 	count := func() int {
 		n := 0
 		for _, fn := range clone.Funcs {
@@ -408,62 +458,61 @@ func checkFixpoint(res *jit.Result, mach ir.Machine, cfg Config, p *Program,
 		return n
 	}
 	prevExts, prevText := count(), formatProgram(clone)
-	converged := false
-	for it := 1; it <= cfg.FixpointK; it++ {
+	for it := 1; ; it++ {
+		if it > l.cfg.FixpointK {
+			fail("Eliminate did not reach an IR fixpoint within %d iterations", l.cfg.FixpointK)
+			return
+		}
 		for _, fn := range clone.Funcs {
 			extelim.Eliminate(fn, ecfg)
 		}
 		exts, text := count(), formatProgram(clone)
 		if exts > prevExts {
-			fail("fixpoint", mach, "iteration %d grew the static extension count %d -> %d", it, prevExts, exts)
+			fail("iteration %d grew the static extension count %d -> %d", it, prevExts, exts)
 			return
 		}
 		if text == prevText {
-			converged = true
 			break
 		}
 		prevExts, prevText = exts, text
 	}
-	if !converged {
-		fail("fixpoint", mach, "Eliminate did not reach an IR fixpoint within %d iterations", cfg.FixpointK)
-		return
-	}
-	oracle := guard.Oracle{Machine: mach, MaxSteps: cfg.MaxSteps}
-	if _, err := oracle.Check(p.Prog, clone); err != nil {
-		fail("fixpoint", mach, "converged program violates the oracle: %v", err)
+	oracle := guard.Oracle{Machine: l.mach, MaxSteps: l.cfg.MaxSteps}
+	if _, err := oracle.Check(l.p.Prog, clone); err != nil {
+		fail("converged program violates the oracle: %v", err)
 	}
 }
 
-// dispatchDetail runs a program under both interpreter dispatchers and
-// demands bit-identical results: output, trap string, step count, total and
-// per-mode cycles, dynamic extension count, branch profile, and call counts.
-// It checks the two configurations the system actually runs: the profiling
-// tier (Mode32, profile and call counting, on the source program) and the
-// optimized tier (Mode64, dummy checking, on the compiled program).
-func dispatchDetail(src, opt *ir.Program, mach ir.Machine, maxSteps int64) string {
-	legs := []struct {
+// dispatchDetail checks dispatch identity: the program runs under both
+// interpreter dispatchers with bit-identical results — output, trap string,
+// step count, total and per-mode cycles, dynamic extension count, branch
+// profile, and call counts. It checks the two configurations the system
+// actually runs: the profiling tier (Mode32, profile and call counting, on
+// the source program) and the optimized tier (Mode64, dummy checking, on
+// the compiled program).
+func (l *leg) dispatchDetail() string {
+	runs := []struct {
 		name string
 		prog *ir.Program
 		opts interp.Options
 	}{
-		{"profiling-32", src, interp.Options{
-			Mode: interp.Mode32, Machine: mach, MaxSteps: maxSteps,
-			Profile: true, CountCalls: true, Cost: target.CostModel(mach),
+		{"profiling-32", l.p.Prog, interp.Options{
+			Mode: interp.Mode32, Machine: l.mach, MaxSteps: l.cfg.MaxSteps,
+			Profile: true, CountCalls: true, Cost: target.CostModel(l.mach),
 		}},
-		{"optimized-64", opt, interp.Options{
-			Mode: interp.Mode64, Machine: mach, MaxSteps: maxSteps,
-			CheckDummies: true, Cost: target.CostModel(mach),
+		{"optimized-64", l.res.Prog, interp.Options{
+			Mode: interp.Mode64, Machine: l.mach, MaxSteps: l.cfg.MaxSteps,
+			CheckDummies: true, Cost: target.CostModel(l.mach),
 		}},
 	}
-	for _, leg := range legs {
-		so := leg.opts
+	for _, run := range runs {
+		so := run.opts
 		so.Dispatch = interp.DispatchSwitch
-		sw, swErr := interp.Run(leg.prog, "main", so)
-		to := leg.opts
+		sw, swErr := interp.Run(run.prog, "main", so)
+		to := run.opts
 		to.Dispatch = interp.DispatchThreaded
-		th, thErr := interp.Run(leg.prog, "main", to)
+		th, thErr := interp.Run(run.prog, "main", to)
 		if d := dispatchCompare(sw, swErr, th, thErr); d != "" {
-			return fmt.Sprintf("%s leg: %s", leg.name, d)
+			return fmt.Sprintf("%s leg: %s", run.name, d)
 		}
 	}
 	return ""
@@ -472,49 +521,38 @@ func dispatchDetail(src, opt *ir.Program, mach ir.Machine, maxSteps int64) strin
 // dispatchCompare reports the first divergence between a switch-dispatch run
 // and a threaded-dispatch run, or "" if they are bit-identical.
 func dispatchCompare(sw *interp.Result, swErr error, th *interp.Result, thErr error) string {
-	errStr := func(err error) string {
-		if err == nil {
-			return "<nil>"
-		}
-		return err.Error()
-	}
-	if errStr(swErr) != errStr(thErr) {
+	if fmt.Sprint(swErr) != fmt.Sprint(thErr) {
 		return fmt.Sprintf("trap mismatch: switch %v, threaded %v", swErr, thErr)
 	}
-	if sw.Output != th.Output {
-		return fmt.Sprintf("output mismatch:\nswitch %q\nthreaded %q", sw.Output, th.Output)
-	}
-	if sw.Steps != th.Steps {
-		return fmt.Sprintf("step count mismatch: switch %d, threaded %d", sw.Steps, th.Steps)
-	}
-	if sw.Cycles != th.Cycles {
-		return fmt.Sprintf("cycle count mismatch: switch %d, threaded %d", sw.Cycles, th.Cycles)
-	}
-	if sw.ModeCycles != th.ModeCycles {
-		return fmt.Sprintf("mode cycle split mismatch: switch %v, threaded %v", sw.ModeCycles, th.ModeCycles)
-	}
-	if sw.Ext != th.Ext {
-		return fmt.Sprintf("dynamic extension count mismatch: switch %d, threaded %d", sw.Ext, th.Ext)
-	}
-	if !reflect.DeepEqual(sw.Profile, th.Profile) {
-		return fmt.Sprintf("branch profile mismatch:\nswitch %v\nthreaded %v", sw.Profile, th.Profile)
-	}
-	if !reflect.DeepEqual(sw.Calls, th.Calls) {
-		return fmt.Sprintf("call count mismatch:\nswitch %v\nthreaded %v", sw.Calls, th.Calls)
+	for _, f := range []struct {
+		what   string
+		sw, th interface{}
+	}{
+		{"output", sw.Output, th.Output},
+		{"step count", sw.Steps, th.Steps},
+		{"cycle count", sw.Cycles, th.Cycles},
+		{"mode cycle split", sw.ModeCycles, th.ModeCycles},
+		{"dynamic extension count", sw.Ext, th.Ext},
+		{"branch profile", sw.Profile, th.Profile},
+		{"call count", sw.Calls, th.Calls},
+	} {
+		if !reflect.DeepEqual(f.sw, f.th) {
+			return fmt.Sprintf("%s mismatch:\nswitch %#v\nthreaded %#v", f.what, f.sw, f.th)
+		}
 	}
 	return ""
 }
 
-// peepDetail compiles the program with the rule-table peephole pass enabled
-// and demands the reference build's observable behaviour: same trap, same
-// output, under both interpreter dispatchers. The pass must also never fall
-// back on valid input.
-func peepDetail(src *ir.Program, mach ir.Machine, refOut string, refErr error, cfg Config) string {
-	res, err := jit.Compile(src, jit.Options{
-		Variant: jit.All, Machine: mach, GeneralOpts: true,
-		Checked: true, Parallelism: 1,
-		Peep: true, PeepRules: cfg.PeepRules,
-	})
+// peepDetail checks peep identity: a build with the rule-table peephole
+// pass enabled reproduces the reference build's output and trap behaviour
+// exactly, under both interpreter dispatchers, and never falls back on valid
+// input. Only observable behaviour is compared — the shift-ext rule may
+// legitimately materialize extension instructions, so dynamic extension
+// counts are out of scope (unlike the oracle's).
+func (l *leg) peepDetail() string {
+	popts := guarded(l.mach)
+	popts.Peep, popts.PeepRules = true, l.cfg.PeepRules
+	res, err := jit.Compile(l.p.Prog, popts)
 	if err != nil {
 		return fmt.Sprintf("peep compile failed: %v", err)
 	}
@@ -523,13 +561,13 @@ func peepDetail(src *ir.Program, mach ir.Machine, refOut string, refErr error, c
 	}
 	for _, d := range []interp.Dispatch{interp.DispatchSwitch, interp.DispatchThreaded} {
 		out, rerr := interp.Run(res.Prog, "main", interp.Options{
-			Mode: interp.Mode64, Machine: mach, MaxSteps: cfg.MaxSteps, Dispatch: d,
+			Mode: interp.Mode64, Machine: l.mach, MaxSteps: l.cfg.MaxSteps, Dispatch: d,
 		})
-		if (rerr != nil) != (refErr != nil) {
-			return fmt.Sprintf("dispatch %d trap mismatch: peeped %v, reference %v", d, rerr, refErr)
+		if (rerr != nil) != (l.rep.RefErr != nil) {
+			return fmt.Sprintf("dispatch %d trap mismatch: peeped %v, reference %v", d, rerr, l.rep.RefErr)
 		}
-		if rerr == nil && out.Output != refOut {
-			return fmt.Sprintf("dispatch %d output mismatch:\npeeped    %q\nreference %q", d, out.Output, refOut)
+		if rerr == nil && out.Output != l.rep.RefOutput {
+			return fmt.Sprintf("dispatch %d output mismatch:\npeeped    %q\nreference %q", d, out.Output, l.rep.RefOutput)
 		}
 	}
 	return ""
@@ -539,12 +577,12 @@ func peepDetail(src *ir.Program, mach ir.Machine, refOut string, refErr error, c
 // IR-level count. IA64 materializes exactly one sxt1/sxt2/sxt4 per OpExt;
 // PPC64 one extsb/extsh/extsw per OpExt plus one extsb per byte load (no
 // sign-extending lba exists, so lbz pairs with extsb).
-func loweringDetail(prog *ir.Program, mach ir.Machine) string {
-	for _, fn := range prog.Funcs {
-		asm := target.Lower(fn, mach)
+func (l *leg) loweringDetail() string {
+	for _, fn := range l.res.Prog.Funcs {
+		asm := target.Lower(fn, l.mach)
 		exts := fn.CountOp(ir.OpExt)
 		var got, want int
-		switch mach {
+		switch l.mach {
 		case ir.IA64:
 			got = asm.Count("sxt1") + asm.Count("sxt2") + asm.Count("sxt4")
 			want = exts
@@ -570,9 +608,7 @@ func loweringDetail(prog *ir.Program, mach ir.Machine) string {
 // wall times) and fallback records.
 func fingerprint(res *jit.Result) string {
 	var b strings.Builder
-	for _, fn := range res.Prog.Funcs {
-		b.WriteString(fn.Format())
-	}
+	b.WriteString(formatProgram(res.Prog))
 	fmt.Fprintf(&b, "stats=%+v static=%d rewrites=%d\n", res.Stats, res.StaticExts, res.PeepRewrites)
 	for _, r := range res.Telemetry {
 		if r.Phase == jit.PhaseCache {

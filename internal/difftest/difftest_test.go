@@ -25,8 +25,9 @@ func TestCheckGeneratedPrograms(t *testing.T) {
 			if seed%3 != 0 {
 				cfg.OracleOnly = true // full metamorphic set on every third seed
 			} else {
-				cfg.Cache = true  // heavy seeds also check cache identity...
-				cfg.Tiered = true // ...and profile identity under the tiered runtime
+				// Heavy seeds also check cache identity and profile identity
+				// under the tiered runtime.
+				cfg.Props = []string{"cache-identity", "profile-identity"}
 			}
 			fails, skipped := Check(p, cfg)
 			if skipped {
@@ -54,7 +55,7 @@ func TestChaosFaultCaught(t *testing.T) {
 		if !planted || !caught {
 			continue
 		}
-		pred := chaosPredicate(seed, Config{})
+		pred := func(cand *ir.Program) bool { return ChaosCaught(cand, ir.IA64, shrinkMaxSteps) }
 		if !pred(p.Prog) {
 			t.Fatalf("seed %d: chaos predicate does not hold on the original program", seed)
 		}
@@ -85,7 +86,7 @@ func TestProfileIdentityProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate(%d, %q): %v", seed, kind, err)
 			}
-			fails, skipped := Check(p, Config{Tiered: true})
+			fails, skipped := Check(p, Config{Props: []string{"profile-identity"}})
 			if skipped {
 				continue
 			}

@@ -4,18 +4,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"signext/internal/ir"
 )
-
-func machinesFor(r *Repro) []ir.Machine { return []ir.Machine{r.Machine} }
 
 // TestReproducers replays every minimized reproducer under testdata/ as a
 // permanent regression test. Chaos reproducers assert two things: the clean
 // pipeline still passes the oracle on the program (no false positive), and
 // deleting a load-bearing extension from the optimized build is still a
 // caught miscompile (the oracle has not gone blind). Property reproducers
-// assert the recorded property now holds — a failure means the original bug
+// replay the full heavy set with their own property named, on every
+// machine, and assert it all holds — a failure means the original bug
 // regressed.
 func TestReproducers(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.ir"))
@@ -62,7 +59,7 @@ func TestReproducers(t *testing.T) {
 			}
 			// A property reproducer records a fixed pipeline bug; the
 			// property must hold now and forever.
-			fails, skipped = Check(p, Config{Machines: machinesFor(r), OracleOnly: false})
+			fails, skipped = r.Replay(Config{})
 			if skipped {
 				t.Fatal("reproducer hit the step limit")
 			}

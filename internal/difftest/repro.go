@@ -16,7 +16,7 @@ import (
 type Repro struct {
 	Seed    int64  // generator seed that produced the original program
 	Kind    string // generator kind: "mj" or "ir"
-	Prop    string // failed property ("oracle", "fixpoint", ...; "chaos" = planted fault)
+	Prop    string // failed property: a property table row, or chaosProp for a planted fault
 	Machine ir.Machine
 	Chaos   int64  // fault-injector seed for prop "chaos"; 0 otherwise
 	Rule    string // peephole rule a directed corpus entry targets; "" otherwise
@@ -90,6 +90,17 @@ func ParseRepro(data []byte) (*Repro, error) {
 	}
 	r.Prog = prog
 	return r, nil
+}
+
+// Replay checks the reproducer's program under c with the reproducer's
+// property named, and with the peephole pass focused on the rule a directed
+// corpus entry targets.
+func (r *Repro) Replay(c Config) (fails []Failure, skipped bool) {
+	c.Props = append(c.Props[:len(c.Props):len(c.Props)], r.Prop)
+	if r.Rule != "" {
+		c.PeepRules = []string{r.Rule}
+	}
+	return Check(&Program{Seed: r.Seed, Kind: r.Kind, Prog: r.Prog}, c)
 }
 
 // Filename is the canonical reproducer name: property, kind and seed

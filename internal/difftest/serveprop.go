@@ -8,32 +8,30 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"signext/internal/guard"
-	"signext/internal/ir"
 	"signext/internal/jit"
 	"signext/internal/serve"
 )
 
-// serveDetail checks the serve-identity property for one program on one
-// machine: the compile daemon, driven through its real HTTP handler, must
-// answer exactly what the direct jit compile produced — same static
-// statistics, same output, same trap — and a request forced onto the
-// degraded floor by a hostile deadline must still reproduce the reference
-// output. It returns "" when the property holds, a diagnostic otherwise.
-func serveDetail(p *Program, mach ir.Machine, res *jit.Result, rep *guard.Report, cfg Config) string {
+// serveDetail checks serve identity: the compile daemon, driven through its
+// real HTTP handler, must answer exactly what the direct jit compile produced
+// — same static statistics, same output, same trap — and a request forced
+// onto the degraded floor by a hostile deadline must still reproduce the
+// reference output. It returns "" when the property holds, a diagnostic
+// otherwise.
+func (l *leg) serveDetail() string {
 	req := serve.CompileRequest{
-		Machine:  mach.String(),
+		Machine:  l.mach.String(),
 		Run:      true,
-		MaxSteps: cfg.MaxSteps,
+		MaxSteps: l.cfg.MaxSteps,
 	}
-	if p.Kind == "mj" {
-		req.Source = p.Source
+	if l.p.Kind == "mj" {
+		req.Source = l.p.Source
 	} else {
-		req.IR = formatProgram(p.Prog)
+		req.IR = formatProgram(l.p.Prog)
 	}
 
 	// Healthy request: full identity with the direct compile.
-	srv, err := serve.New(serve.Config{Variant: jit.All, Machine: mach, CacheBytes: -1})
+	srv, err := serve.New(serve.Config{Variant: jit.All, Machine: l.mach, CacheBytes: -1})
 	if err != nil {
 		return fmt.Sprintf("daemon construction failed: %v", err)
 	}
@@ -44,12 +42,12 @@ func serveDetail(p *Program, mach ir.Machine, res *jit.Result, rep *guard.Report
 	if resp.Degraded {
 		return fmt.Sprintf("daemon degraded without any pressure (funcs %v, fallbacks %d)", resp.DegradedFuncs, resp.Fallbacks)
 	}
-	if resp.Eliminated != res.Stats.Eliminated || resp.Inserted != res.Stats.Inserted || resp.StaticExts != res.StaticExts {
+	if resp.Eliminated != l.res.Stats.Eliminated || resp.Inserted != l.res.Stats.Inserted || resp.StaticExts != l.res.StaticExts {
 		return fmt.Sprintf("static results differ: daemon (elim %d, ins %d, exts %d), direct (elim %d, ins %d, exts %d)",
 			resp.Eliminated, resp.Inserted, resp.StaticExts,
-			res.Stats.Eliminated, res.Stats.Inserted, res.StaticExts)
+			l.res.Stats.Eliminated, l.res.Stats.Inserted, l.res.StaticExts)
 	}
-	if d := runIdentity("daemon", resp, rep.OptOutput, rep.OptErr != nil); d != "" {
+	if d := runIdentity("daemon", resp, l.rep.OptOutput, l.rep.OptErr != nil); d != "" {
 		return d
 	}
 
@@ -60,7 +58,7 @@ func serveDetail(p *Program, mach ir.Machine, res *jit.Result, rep *guard.Report
 	// once its timer goroutine runs; on a loaded single-CPU box that can
 	// lag the nominal deadline by milliseconds.
 	dsrv, err := serve.New(serve.Config{
-		Variant: jit.All, Machine: mach, CacheBytes: -1,
+		Variant: jit.All, Machine: l.mach, CacheBytes: -1,
 		FaultDelay: func() time.Duration { return 20 * time.Millisecond },
 	})
 	if err != nil {
@@ -75,7 +73,7 @@ func serveDetail(p *Program, mach ir.Machine, res *jit.Result, rep *guard.Report
 	if !dresp.Degraded || len(dresp.DegradedFuncs) == 0 {
 		return fmt.Sprintf("hostile deadline did not degrade (funcs %v)", dresp.DegradedFuncs)
 	}
-	if d := runIdentity("degraded daemon", dresp, rep.RefOutput, rep.RefErr != nil); d != "" {
+	if d := runIdentity("degraded daemon", dresp, l.rep.RefOutput, l.rep.RefErr != nil); d != "" {
 		return d
 	}
 	return ""

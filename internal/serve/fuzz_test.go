@@ -55,12 +55,6 @@ func FuzzServeRequest(f *testing.F) {
 	}
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// A request may raise its own step budget; the runtime budget is a
-		// server policy, not part of this property.
-		var req CompileRequest
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && req.MaxSteps > fuzzMaxSteps {
-			t.Skip("asks for more interpreter steps than the fuzz budget")
-		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", bytes.NewReader(body)))
 		switch rec.Code {

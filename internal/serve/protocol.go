@@ -42,7 +42,7 @@ type CompileRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 
 	// MaxSteps bounds the interpreter when Run (or WithProfile) is set.
-	// 0 selects the server default.
+	// 0 selects the server default; values above it are clamped.
 	MaxSteps int64 `json:"max_steps,omitempty"`
 }
 

@@ -49,7 +49,7 @@ type Config struct {
 	MaxQueue    int
 
 	ElimBudget int   // per-function elimination work cap, 0 = unlimited
-	MaxSteps   int64 // default interpreter budget for run/profile, 0 = 50M
+	MaxSteps   int64 // interpreter budget and per-request cap for run/profile, 0 = 50M
 
 	// FaultDelay, when set, is called once per admitted request and the
 	// returned duration slept before compiling. Chaos tests use it (backed
@@ -369,7 +369,7 @@ func (s *Server) compile(reqCtx context.Context, req *CompileRequest) (*CompileR
 	}
 
 	maxSteps := s.cfg.MaxSteps
-	if req.MaxSteps > 0 {
+	if req.MaxSteps > 0 && req.MaxSteps < maxSteps {
 		maxSteps = req.MaxSteps
 	}
 

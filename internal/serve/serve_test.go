@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -365,5 +366,35 @@ func TestHandlerPanicAnswered500(t *testing.T) {
 	code, resp = post()
 	if code != http.StatusOK || resp.Output != "42\n" {
 		t.Fatalf("next request: status %d, output %q, error %q; want 200 printing 42", code, resp.Output, resp.Error)
+	}
+}
+
+// TestMaxStepsClamped pins the step cap: a request asking for more
+// interpreter steps than the server's MaxSteps runs exactly as one asking
+// for MaxSteps and traps at it, while a smaller request budget is honoured.
+func TestMaxStepsClamped(t *testing.T) {
+	const limit = 1000
+	s, _ := newTestServer(t, Config{MaxSteps: limit})
+	run := func(ask int64) CompileResponse {
+		t.Helper()
+		src := `void main() { int s = 0; for (int i = 0; i < 100000; i++) { s += i; } print(s); }`
+		body, err := json.Marshal(CompileRequest{Source: src, Run: true, MaxSteps: ask})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", bytes.NewReader(body)))
+		var resp CompileResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("max_steps %d: status %d, body %s (%v)", ask, rec.Code, rec.Body, err)
+		}
+		return resp
+	}
+	over, atCap, under := run(1<<40), run(limit), run(limit/2)
+	if !strings.Contains(over.Trap, "step limit") || over.Steps != atCap.Steps {
+		t.Fatalf("max_steps 2^40: trap %q after %d steps, want the step-limit trap at %d steps", over.Trap, over.Steps, atCap.Steps)
+	}
+	if under.Steps >= atCap.Steps {
+		t.Fatalf("max_steps %d ran %d steps, no fewer than the cap's %d", limit/2, under.Steps, atCap.Steps)
 	}
 }
