@@ -3,6 +3,12 @@
 // the frequency estimator (order determination, paper section 2.2), the
 // loop-invariant code motion used by the PRE phase, and the rule that sign
 // extension insertion applies only to methods containing loops.
+//
+// Every per-block table is a slice indexed by ir.Block.ID, sized by
+// ir.Func.NumBlockIDs at Compute time. The facts are block-level only, so
+// adding or removing instructions keeps them valid; adding blocks or edges
+// does not. A block created after Compute is outside every table: the query
+// methods treat it as unreached and in no loop.
 package cfg
 
 import "signext/internal/ir"
@@ -10,18 +16,19 @@ import "signext/internal/ir"
 // Info bundles the control-flow facts for one function.
 type Info struct {
 	Fn      *ir.Func
-	RPO     []*ir.Block       // reverse postorder, entry first
-	RPONum  map[*ir.Block]int // block -> position in RPO
-	IDom    map[*ir.Block]*ir.Block
-	Loops   []*Loop             // outermost-first within each nest
-	LoopOf  map[*ir.Block]*Loop // innermost loop containing the block
-	Reached map[*ir.Block]bool  // reachable from entry
+	RPO     []*ir.Block // reverse postorder, entry first
+	RPONum  []int       // block ID -> position in RPO; -1 when unreached
+	IDom    []*ir.Block // block ID -> immediate dominator (the entry's is itself; nil when unreached)
+	Loops   []*Loop     // in order of first back edge in RPO
+	LoopOf  []*Loop     // block ID -> innermost loop containing the block
+	Reached []bool      // block ID -> reachable from entry
 }
 
 // Loop is a natural loop.
 type Loop struct {
 	Header *ir.Block
-	Blocks map[*ir.Block]bool
+	Blocks []bool // block ID -> member of the body (header included)
+	Size   int    // number of member blocks
 	Parent *Loop
 	Depth  int // 1 for outermost loops
 	// Latches are the blocks with back edges to Header.
@@ -29,16 +36,19 @@ type Loop struct {
 }
 
 // Contains reports whether b belongs to the loop body (header included).
-func (l *Loop) Contains(b *ir.Block) bool { return l.Blocks[b] }
+func (l *Loop) Contains(b *ir.Block) bool {
+	return b.ID < len(l.Blocks) && l.Blocks[b.ID]
+}
 
 // Compute runs all analyses for fn.
 func Compute(fn *ir.Func) *Info {
+	nb := fn.NumBlockIDs()
 	info := &Info{
 		Fn:      fn,
-		RPONum:  map[*ir.Block]int{},
-		IDom:    map[*ir.Block]*ir.Block{},
-		LoopOf:  map[*ir.Block]*Loop{},
-		Reached: map[*ir.Block]bool{},
+		RPONum:  make([]int, nb),
+		IDom:    make([]*ir.Block, nb),
+		LoopOf:  make([]*Loop, nb),
+		Reached: make([]bool, nb),
 	}
 	info.computeRPO()
 	info.computeDominators()
@@ -46,41 +56,54 @@ func Compute(fn *ir.Func) *Info {
 	return info
 }
 
+// computeRPO numbers the blocks reachable from the entry in reverse
+// postorder of a depth-first search that visits successors in order.
 func (info *Info) computeRPO() {
-	var post []*ir.Block
-	seen := map[*ir.Block]bool{}
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b] = true
-		info.Reached[b] = true
-		for _, s := range b.Succs {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
+	for k := range info.RPONum {
+		info.RPONum[k] = -1
 	}
-	dfs(info.Fn.Entry())
-	info.RPO = make([]*ir.Block, len(post))
-	for k := range post {
-		info.RPO[k] = post[len(post)-1-k]
+	type frame struct {
+		b    *ir.Block
+		next int // index of the next successor to visit
+	}
+	post := make([]*ir.Block, 0, len(info.Fn.Blocks))
+	entry := info.Fn.Entry()
+	info.Reached[entry.ID] = true
+	stack := []frame{{b: entry}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.next < len(f.b.Succs) {
+			s := f.b.Succs[f.next]
+			f.next++
+			if !info.Reached[s.ID] {
+				info.Reached[s.ID] = true
+				stack = append(stack, frame{b: s})
+			}
+			continue
+		}
+		post = append(post, f.b)
+		stack = stack[:len(stack)-1]
+	}
+	info.RPO = post
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
 	}
 	for k, b := range info.RPO {
-		info.RPONum[b] = k
+		info.RPONum[b.ID] = k
 	}
 }
 
 // computeDominators uses the Cooper-Harvey-Kennedy iterative algorithm.
 func (info *Info) computeDominators() {
 	entry := info.Fn.Entry()
-	info.IDom[entry] = entry
+	info.IDom[entry.ID] = entry
 	changed := true
 	for changed {
 		changed = false
 		for _, b := range info.RPO[1:] {
 			var newIDom *ir.Block
 			for _, p := range b.Preds {
-				if info.IDom[p] == nil {
+				if info.IDom[p.ID] == nil {
 					continue // unprocessed or unreachable
 				}
 				if newIDom == nil {
@@ -89,8 +112,8 @@ func (info *Info) computeDominators() {
 					newIDom = info.intersect(p, newIDom)
 				}
 			}
-			if newIDom != nil && info.IDom[b] != newIDom {
-				info.IDom[b] = newIDom
+			if newIDom != nil && info.IDom[b.ID] != newIDom {
+				info.IDom[b.ID] = newIDom
 				changed = true
 			}
 		}
@@ -99,11 +122,11 @@ func (info *Info) computeDominators() {
 
 func (info *Info) intersect(a, b *ir.Block) *ir.Block {
 	for a != b {
-		for info.RPONum[a] > info.RPONum[b] {
-			a = info.IDom[a]
+		for info.RPONum[a.ID] > info.RPONum[b.ID] {
+			a = info.IDom[a.ID]
 		}
-		for info.RPONum[b] > info.RPONum[a] {
-			b = info.IDom[b]
+		for info.RPONum[b.ID] > info.RPONum[a.ID] {
+			b = info.IDom[b.ID]
 		}
 	}
 	return a
@@ -116,10 +139,10 @@ func (info *Info) Dominates(a, b *ir.Block) bool {
 		if b == a {
 			return true
 		}
-		if b == entry {
+		if b == entry || b.ID >= len(info.IDom) {
 			return false
 		}
-		d := info.IDom[b]
+		d := info.IDom[b.ID]
 		if d == nil || d == b {
 			return false
 		}
@@ -129,26 +152,35 @@ func (info *Info) Dominates(a, b *ir.Block) bool {
 
 func (info *Info) computeLoops() {
 	// Find back edges: edge b -> h where h dominates b.
-	headers := map[*ir.Block][]*ir.Block{} // header -> latches
+	latches := make([][]*ir.Block, len(info.Reached)) // header ID -> latches
 	var order []*ir.Block
 	for _, b := range info.RPO {
 		for _, s := range b.Succs {
-			if info.Reached[s] && info.Dominates(s, b) {
-				if len(headers[s]) == 0 {
+			if info.Reached[s.ID] && info.Dominates(s, b) {
+				if len(latches[s.ID]) == 0 {
 					order = append(order, s)
 				}
-				headers[s] = append(headers[s], b)
+				latches[s.ID] = append(latches[s.ID], b)
 			}
 		}
 	}
-	// Build natural loop bodies.
-	loopByHeader := map[*ir.Block]*Loop{}
-	for _, h := range order {
-		l := &Loop{Header: h, Blocks: map[*ir.Block]bool{h: true}, Latches: headers[h]}
-		var stack []*ir.Block
-		for _, latch := range headers[h] {
-			if !l.Blocks[latch] {
-				l.Blocks[latch] = true
+	if len(order) == 0 {
+		return
+	}
+	// Build natural loop bodies, all membership tables carved from one
+	// allocation.
+	nb := len(info.Reached)
+	member := make([]bool, len(order)*nb)
+	loops := make([]Loop, len(order))
+	var stack []*ir.Block
+	for k, h := range order {
+		l := &loops[k]
+		*l = Loop{Header: h, Blocks: member[k*nb : (k+1)*nb : (k+1)*nb], Size: 1, Latches: latches[h.ID]}
+		l.Blocks[h.ID] = true
+		for _, latch := range l.Latches {
+			if !l.Blocks[latch.ID] {
+				l.Blocks[latch.ID] = true
+				l.Size++
 				stack = append(stack, latch)
 			}
 		}
@@ -156,22 +188,21 @@ func (info *Info) computeLoops() {
 			b := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, p := range b.Preds {
-				if info.Reached[p] && !l.Blocks[p] {
-					l.Blocks[p] = true
+				if info.Reached[p.ID] && !l.Blocks[p.ID] {
+					l.Blocks[p.ID] = true
+					l.Size++
 					stack = append(stack, p)
 				}
 			}
 		}
-		loopByHeader[h] = l
 		info.Loops = append(info.Loops, l)
 	}
-	// Establish nesting: the innermost loop containing each block.
-	// Process loops from smallest to largest body so the innermost wins.
+	// Establish nesting: the innermost loop containing each block is the
+	// smallest one (the first in Loops on a tie).
 	for _, l := range info.Loops {
-		for b := range l.Blocks {
-			cur := info.LoopOf[b]
-			if cur == nil || len(l.Blocks) < len(cur.Blocks) {
-				info.LoopOf[b] = l
+		for id, in := range l.Blocks {
+			if cur := info.LoopOf[id]; in && (cur == nil || l.Size < cur.Size) {
+				info.LoopOf[id] = l
 			}
 		}
 	}
@@ -179,10 +210,10 @@ func (info *Info) computeLoops() {
 	for _, l := range info.Loops {
 		var parent *Loop
 		for _, cand := range info.Loops {
-			if cand == l || !cand.Blocks[l.Header] {
+			if cand == l || !cand.Blocks[l.Header.ID] {
 				continue
 			}
-			if parent == nil || len(cand.Blocks) < len(parent.Blocks) {
+			if parent == nil || cand.Size < parent.Size {
 				parent = cand
 			}
 		}
@@ -199,8 +230,10 @@ func (info *Info) computeLoops() {
 
 // Depth returns the loop nesting depth of b (0 outside any loop).
 func (info *Info) Depth(b *ir.Block) int {
-	if l := info.LoopOf[b]; l != nil {
-		return l.Depth
+	if b.ID < len(info.LoopOf) {
+		if l := info.LoopOf[b.ID]; l != nil {
+			return l.Depth
+		}
 	}
 	return 0
 }
@@ -215,7 +248,7 @@ func (info *Info) HasLoop() bool { return len(info.Loops) > 0 }
 func (l *Loop) Preheader() *ir.Block {
 	var pre *ir.Block
 	for _, p := range l.Header.Preds {
-		if l.Blocks[p] {
+		if l.Contains(p) {
 			continue
 		}
 		if pre != nil {

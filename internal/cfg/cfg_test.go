@@ -56,7 +56,7 @@ func TestRPOStartsAtEntry(t *testing.T) {
 	// Every block except loop headers appears after all its predecessors.
 	for _, b := range info.RPO {
 		for _, p := range b.Preds {
-			if info.RPONum[p] > info.RPONum[b] && !info.Dominates(b, p) {
+			if info.RPONum[p.ID] > info.RPONum[b.ID] && !info.Dominates(b, p) {
 				t.Errorf("%v before its non-backedge predecessor %v", b, p)
 			}
 		}
@@ -83,8 +83,8 @@ func TestDominators(t *testing.T) {
 			t.Errorf("Dominates(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
-	if info.IDom[m["innerBody"]] != m["innerHead"] {
-		t.Errorf("idom(innerBody) = %v", info.IDom[m["innerBody"]])
+	if info.IDom[m["innerBody"].ID] != m["innerHead"] {
+		t.Errorf("idom(innerBody) = %v", info.IDom[m["innerBody"].ID])
 	}
 }
 
@@ -160,13 +160,117 @@ func TestUnreachableBlockIgnored(t *testing.T) {
 	b := ir.NewFunc("u")
 	b.Ret(ir.NoReg)
 	dead := b.NewBlock()
+	spin := b.NewBlock()
 	b.SetBlock(dead)
-	b.Ret(ir.NoReg)
+	b.Jmp(spin)
+	b.SetBlock(spin)
+	b.Jmp(spin)
 	info := Compute(b.Fn)
-	if info.Reached[dead] {
-		t.Fatal("unreachable block marked reached")
-	}
 	if len(info.RPO) != 1 {
 		t.Fatalf("RPO should hold only reachable blocks, got %d", len(info.RPO))
+	}
+	// Unreached blocks, even one that loops to itself, have RPO number -1
+	// and belong to no loop.
+	for _, x := range []*ir.Block{dead, spin} {
+		if info.Reached[x.ID] || info.RPONum[x.ID] != -1 || info.LoopOf[x.ID] != nil || info.IDom[x.ID] != nil {
+			t.Errorf("%v: reached %v, RPO number %d, loop %v, idom %v",
+				x, info.Reached[x.ID], info.RPONum[x.ID], info.LoopOf[x.ID], info.IDom[x.ID])
+		}
+		if info.Depth(x) != 0 || info.Dominates(b.Fn.Entry(), x) {
+			t.Errorf("%v: depth %d, dominated by the entry %v", x, info.Depth(x), info.Dominates(b.Fn.Entry(), x))
+		}
+	}
+	if info.HasLoop() {
+		t.Error("an unreached self-loop is not a loop")
+	}
+}
+
+// buildGapLoop builds entry -> head -> {body -> head, exit} with a dead
+// block created between head and body and then removed from the function,
+// leaving a gap in the block IDs.
+func buildGapLoop() (fn *ir.Func, gone *ir.Block) {
+	b := ir.NewFunc("gap", ir.Param{W: ir.W32})
+	i := b.Fn.NewReg()
+	b.ConstTo(ir.W32, i, 0)
+	head := b.NewBlock()
+	gone = b.NewBlock()
+	body := b.NewBlock()
+	exit := b.NewBlock()
+	b.Jmp(head)
+	b.SetBlock(gone)
+	b.Ret(ir.NoReg)
+	b.SetBlock(head)
+	b.Br(ir.W32, ir.CondLT, i, ir.Reg(0), body, exit)
+	b.SetBlock(body)
+	b.OpTo(ir.OpAdd, ir.W32, i, i, b.Const(ir.W32, 1))
+	b.Jmp(head)
+	b.SetBlock(exit)
+	b.Ret(ir.NoReg)
+	b.Fn.Blocks = append(b.Fn.Blocks[:2:2], b.Fn.Blocks[3:]...)
+	return b.Fn, gone
+}
+
+// TestBlockIDGapsAndClone: the tables are indexed by block ID, so a function
+// whose IDs have a gap (a block removed) and its Clone, which keeps the IDs,
+// get the same facts, each about its own blocks.
+func TestBlockIDGapsAndClone(t *testing.T) {
+	fn, gone := buildGapLoop()
+	if err := fn.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*ir.Func{fn, fn.Clone()} {
+		info := Compute(f)
+		if len(info.RPONum) != f.NumBlockIDs() || f.NumBlockIDs() != 5 {
+			t.Fatalf("tables sized %d, NumBlockIDs %d, want 5", len(info.RPONum), f.NumBlockIDs())
+		}
+		if info.Reached[gone.ID] || info.RPONum[gone.ID] != -1 || info.IDom[gone.ID] != nil {
+			t.Errorf("removed block: reached %v, RPO number %d, idom %v",
+				info.Reached[gone.ID], info.RPONum[gone.ID], info.IDom[gone.ID])
+		}
+		if len(info.RPO) != len(f.Blocks) {
+			t.Fatalf("RPO covers %d of %d blocks", len(info.RPO), len(f.Blocks))
+		}
+		for k, b := range info.RPO {
+			if b.Fn != f || info.RPONum[b.ID] != k {
+				t.Errorf("RPO[%d] = %v of another function or numbered %d", k, b, info.RPONum[b.ID])
+			}
+		}
+		entry, head, body, exit := f.Blocks[0], f.Blocks[1], f.Blocks[2], f.Blocks[3]
+		if info.IDom[body.ID] != head || info.IDom[exit.ID] != head || info.IDom[head.ID] != entry {
+			t.Errorf("idoms: body %v, exit %v, head %v", info.IDom[body.ID], info.IDom[exit.ID], info.IDom[head.ID])
+		}
+		if len(info.Loops) != 1 {
+			t.Fatalf("found %d loops, want 1", len(info.Loops))
+		}
+		l := info.Loops[0]
+		if l.Header != head || l.Size != 2 || !l.Contains(body) || l.Contains(exit) || info.LoopOf[body.ID] != l {
+			t.Errorf("loop: header %v, size %d, contains body %v, contains exit %v",
+				l.Header, l.Size, l.Contains(body), l.Contains(exit))
+		}
+		if l.Preheader() != entry {
+			t.Errorf("preheader = %v, want %v", l.Preheader(), entry)
+		}
+	}
+}
+
+// TestBlockCreatedAfterCompute: a block added after Compute is outside
+// every table; the query methods answer for it without panicking.
+func TestBlockCreatedAfterCompute(t *testing.T) {
+	fn, m := buildNested()
+	info := Compute(fn)
+	late := fn.NewBlock()
+	for _, l := range info.Loops {
+		if l.Contains(late) {
+			t.Errorf("loop at %v contains a block created after Compute", l.Header)
+		}
+	}
+	if d := info.Depth(late); d != 0 {
+		t.Errorf("depth(late) = %d, want 0", d)
+	}
+	if info.Dominates(m["entry"], late) {
+		t.Error("the entry dominates a block created after Compute")
+	}
+	if !info.Dominates(late, late) {
+		t.Error("a block dominates itself")
 	}
 }

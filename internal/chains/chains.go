@@ -41,7 +41,13 @@ type Chains struct {
 
 // Build computes fresh chains for fn.
 func Build(fn *ir.Func, info *cfg.Info) *Chains {
-	r := dataflow.ComputeReaching(fn, info)
+	return FromReaching(fn, dataflow.ComputeReaching(fn, info))
+}
+
+// FromReaching builds chains from a reaching-definitions solution r of fn
+// that is still current, so a caller that already solved it (the verifier)
+// does not solve it twice.
+func FromReaching(fn *ir.Func, r *dataflow.Reaching) *Chains {
 	n := fn.NumInstrIDs()
 	c := &Chains{
 		Fn:      fn,
@@ -121,15 +127,21 @@ func Build(fn *ir.Func, info *cfg.Info) *Chains {
 	return c
 }
 
-// slot returns the ud index of operand op of ins, or false when ins was not
-// placed at Build time (or has since been removed) or has no such operand.
-func (c *Chains) slot(ins *ir.Instr, op int) (int, bool) {
+// OperandSlot returns the dense index, in [0, NumOperandSlots()), of
+// operand op of ins, or false when ins was not placed at Build time (or has
+// since been removed) or has no such operand. It indexes the UD lists, and
+// analyses built over the chains use it to keep per-operand tables without
+// maps.
+func (c *Chains) OperandSlot(ins *ir.Instr, op int) (int, bool) {
 	if !c.tracked(ins) || op < 0 {
 		return 0, false
 	}
 	k := int(c.udOff[ins.ID]) + op
 	return k, k < int(c.udOff[ins.ID+1])
 }
+
+// NumOperandSlots returns the number of operand slots.
+func (c *Chains) NumOperandSlots() int { return len(c.ud) }
 
 // tracked reports whether ins is the instruction the chains hold under its
 // ID.
@@ -139,7 +151,7 @@ func (c *Chains) tracked(ins *ir.Instr) bool {
 
 // UD returns the definitions reaching operand op of ins.
 func (c *Chains) UD(ins *ir.Instr, op int) []dataflow.DefSite {
-	if k, ok := c.slot(ins, op); ok {
+	if k, ok := c.OperandSlot(ins, op); ok {
 		return c.ud[k]
 	}
 	return nil
@@ -211,7 +223,7 @@ func (c *Chains) RemoveSameRegExt(e *ir.Instr) {
 
 	// Re-point each downstream use at the feeding definitions.
 	for _, u := range downstream {
-		k, ok := c.slot(u.Instr, u.OpIdx)
+		k, ok := c.OperandSlot(u.Instr, u.OpIdx)
 		if !ok {
 			continue
 		}
@@ -241,7 +253,7 @@ func (c *Chains) RemoveSameRegExt(e *ir.Instr) {
 			}
 		}
 	}
-	if k, ok := c.slot(e, 0); ok {
+	if k, ok := c.OperandSlot(e, 0); ok {
 		c.ud[k] = nil
 		c.du[e.ID] = nil
 		c.placed[e.ID] = nil

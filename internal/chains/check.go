@@ -113,7 +113,7 @@ func (c *Chains) Check() error {
 // exactly this class of chain damage; it reports whether there was an edge
 // to drop.
 func (c *Chains) DropUDEdge(ins *ir.Instr, op int) bool {
-	k, ok := c.slot(ins, op)
+	k, ok := c.OperandSlot(ins, op)
 	if !ok || len(c.ud[k]) == 0 {
 		return false
 	}

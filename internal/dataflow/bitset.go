@@ -115,10 +115,7 @@ func (s BitSet) ForEach(f func(i int)) {
 // newBlockSets returns k tables of bitsets indexed by block ID, each set able
 // to hold n bits, all carved from one allocation.
 func newBlockSets(fn *ir.Func, k, n int) [][]BitSet {
-	nb := 0
-	for _, b := range fn.Blocks {
-		nb = max(nb, b.ID+1)
-	}
+	nb := fn.NumBlockIDs()
 	w := (n + 63) / 64
 	words := make(BitSet, k*nb*w)
 	sets := make([]BitSet, k*nb)

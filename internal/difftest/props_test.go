@@ -40,8 +40,9 @@ func hasProp(fails []Failure, name string) bool {
 // fails and demands that every route to a property sees the failure: Check
 // with the property named, the shrink predicate for it, replay of a
 // reproducer carrying it (the TestReproducers path), and a campaign's
-// corpus replay. A property the shrinker or replay cannot reach would
-// silently drop its findings.
+// corpus replay, the last two also under an oracle-only configuration. A
+// property the shrinker or replay cannot reach would silently drop its
+// findings.
 func TestEveryPathSeesEveryProperty(t *testing.T) {
 	p := tableProgram(t)
 	for _, row := range properties {
@@ -60,21 +61,28 @@ func TestEveryPathSeesEveryProperty(t *testing.T) {
 				t.Errorf("shrink predicate for %s does not see the failure", name)
 			}
 			r := &Repro{Seed: p.Seed, Kind: p.Kind, Prop: name, Machine: ir.IA64, Prog: p.Prog}
-			if fails, skipped := r.Replay(Config{}); skipped || !hasProp(fails, name) {
-				t.Errorf("replay of a %s reproducer: skipped=%v, failures %v", name, skipped, fails)
-			}
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, r.Filename()), r.Marshal(), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			res, err := Campaign(CampaignConfig{Seed: 1, Count: 1, Workers: 1, Corpus: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.ContainsFunc(res.FailureDetails, func(d string) bool {
-				return strings.HasPrefix(d, "corpus "+r.Filename()+": ["+name+"/")
-			}) {
-				t.Errorf("corpus replay of a %s entry does not see the failure: %v", name, res.FailureDetails)
+			// Replay runs the reproducer's own property whether or not the
+			// caller's configuration is oracle-only.
+			for _, oracleOnly := range []bool{false, true} {
+				c := Config{OracleOnly: oracleOnly}
+				if fails, skipped := r.Replay(c); skipped || !hasProp(fails, name) {
+					t.Errorf("replay of a %s reproducer (OracleOnly=%v): skipped=%v, failures %v",
+						name, oracleOnly, skipped, fails)
+				}
+				res, err := Campaign(CampaignConfig{Seed: 1, Count: 1, Workers: 1, Corpus: dir, Check: c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.ContainsFunc(res.FailureDetails, func(d string) bool {
+					return strings.HasPrefix(d, "corpus "+r.Filename()+": ["+name+"/")
+				}) {
+					t.Errorf("corpus replay of a %s entry (OracleOnly=%v) does not see the failure: %v",
+						name, oracleOnly, res.FailureDetails)
+				}
 			}
 		})
 	}

@@ -94,9 +94,13 @@ func ParseRepro(data []byte) (*Repro, error) {
 
 // Replay checks the reproducer's program under c with the reproducer's
 // property named, and with the peephole pass focused on the rule a directed
-// corpus entry targets.
+// corpus entry targets. The property runs on its named schedule even when c
+// is oracle-only: a reproducer exists to exercise it.
 func (r *Repro) Replay(c Config) (fails []Failure, skipped bool) {
 	c.Props = append(c.Props[:len(c.Props):len(c.Props)], r.Prop)
+	if p := lookup(r.Prop); p != nil && p.named == heavy {
+		c.OracleOnly = false
+	}
 	if r.Rule != "" {
 		c.PeepRules = []string{r.Rule}
 	}

@@ -76,14 +76,16 @@ type eliminator struct {
 	// instruction flags), reset before each candidate. Unlike the paper's
 	// single-bit flags, finished queries memoize their result; only
 	// in-progress revisits (cycles) answer optimistically.
-	// Flag maps are allocated once and reset per candidate with a
+	// Flag tables are allocated once and reset per candidate with a
 	// generation stamp (value = gen<<2 | state), avoiding per-candidate
-	// allocation in the hot elimination loop.
+	// allocation in the hot elimination loop. useFlags is indexed by the
+	// chains' operand slot, defFlags by instruction ID × 4 + the width's
+	// index (8, 16, 32, 64), u32Flags and arrFlags by instruction ID.
 	gen      int64
-	useFlags map[useSiteKey]int64
-	defFlags map[defKey]int64
-	u32Flags map[*ir.Instr]int64
-	arrFlags map[*ir.Instr]int64
+	useFlags []int64
+	defFlags []int64
+	u32Flags []int64
+	arrFlags []int64
 
 	// work counts chain traversal queries against cfg.MaxWork. When the
 	// budget is spent, every pending query answers conservatively ("the
@@ -96,16 +98,6 @@ type eliminator struct {
 	// definitions of its source: the analysis must describe the world after
 	// the removal it is trying to justify.
 	candidate *ir.Instr
-}
-
-type useSiteKey struct {
-	ins *ir.Instr
-	op  int
-}
-
-type defKey struct {
-	ins *ir.Instr
-	w   uint8
 }
 
 // Traversal memo states.
@@ -143,9 +135,8 @@ func (e *eliminator) run() Stats {
 	if e.cfg.Insert || e.cfg.Array {
 		st.Dummies = insertDummies(e.fn, kinds)
 	}
-	if st.Inserted > 0 || st.Dummies > 0 {
-		e.info = cfg.Compute(e.fn) // block contents changed
-	}
+	// Insertion adds instructions but no blocks or edges, so the CFG facts
+	// computed above still hold.
 
 	// UD/DU chains over the post-insertion function.
 	tc := time.Now()
@@ -211,10 +202,11 @@ func (e *eliminator) spend() bool {
 // direction) or its source is already extended (UD direction).
 func (e *eliminator) eliminateOneExtend(ext *ir.Instr) bool {
 	if e.useFlags == nil {
-		e.useFlags = map[useSiteKey]int64{}
-		e.defFlags = map[defKey]int64{}
-		e.u32Flags = map[*ir.Instr]int64{}
-		e.arrFlags = map[*ir.Instr]int64{}
+		n := e.fn.NumInstrIDs()
+		e.useFlags = make([]int64, e.ch.NumOperandSlots())
+		e.defFlags = make([]int64, 4*n)
+		e.u32Flags = make([]int64, n)
+		e.arrFlags = make([]int64, n)
 	}
 	e.gen++
 	e.candidate = ext
@@ -260,23 +252,49 @@ func (e *eliminator) analyzeUSE(ext *ir.Instr, ins *ir.Instr, op int, canArray b
 	if !e.spend() {
 		return true // out of budget: conservatively required
 	}
-	key := useSiteKey{ins, op}
-	if v := e.useFlags[key]; v>>2 == e.gen {
+	k, ok := e.ch.OperandSlot(ins, op)
+	if !ok {
+		return true // no chains for this use: conservatively required
+	}
+	// In-progress: a cycle, no requirement via this path.
+	return e.memo(&e.useFlags[k], false, func() bool { return e.analyzeUSE1(ext, ins, op, canArray) })
+}
+
+// memo runs query under the flag cell *cell for the current candidate: a
+// finished query answers from the cell, and a revisit of one still in
+// progress (a cycle) answers cyclic.
+func (e *eliminator) memo(cell *int64, cyclic bool, query func() bool) bool {
+	if v := *cell; v>>2 == e.gen {
 		switch int8(v & 3) {
-		case qInProgress, qFalse:
-			return false // in-progress: cycle, no requirement via this path
+		case qInProgress:
+			return cyclic
+		case qFalse:
+			return false
 		case qTrue:
 			return true
 		}
 	}
-	e.useFlags[key] = e.gen<<2 | int64(qInProgress)
-	req := e.analyzeUSE1(ext, ins, op, canArray)
-	if req {
-		e.useFlags[key] = e.gen<<2 | int64(qTrue)
+	*cell = e.gen<<2 | int64(qInProgress)
+	res := query()
+	if res {
+		*cell = e.gen<<2 | int64(qTrue)
 	} else {
-		e.useFlags[key] = e.gen<<2 | int64(qFalse)
+		*cell = e.gen<<2 | int64(qFalse)
 	}
-	return req
+	return res
+}
+
+// defSlot returns the defFlags index of (ins, w).
+func defSlot(ins *ir.Instr, w uint8) int {
+	switch w {
+	case 8:
+		return 4 * ins.ID
+	case 16:
+		return 4*ins.ID + 1
+	case 32:
+		return 4*ins.ID + 2
+	}
+	return 4*ins.ID + 3
 }
 
 func (e *eliminator) analyzeUSE1(ext *ir.Instr, ins *ir.Instr, op int, canArray bool) bool {
@@ -340,23 +358,8 @@ func (e *eliminator) analyzeDEF(d dataflow.DefSite, w uint8) bool {
 		return pw > w // parameters arrive extended from their width
 	}
 	ins := d.Instr
-	key := defKey{ins, w}
-	if v := e.defFlags[key]; v>>2 == e.gen {
-		switch int8(v & 3) {
-		case qInProgress, qFalse:
-			return false // in-progress: cycle, optimistic per the DEF flag
-		case qTrue:
-			return true
-		}
-	}
-	e.defFlags[key] = e.gen<<2 | int64(qInProgress)
-	req := e.analyzeDEF1(ins, w)
-	if req {
-		e.defFlags[key] = e.gen<<2 | int64(qTrue)
-	} else {
-		e.defFlags[key] = e.gen<<2 | int64(qFalse)
-	}
-	return req
+	// In-progress: a cycle, optimistic per the DEF flag.
+	return e.memo(&e.defFlags[defSlot(ins, w)], false, func() bool { return e.analyzeDEF1(ins, w) })
 }
 
 func (e *eliminator) analyzeDEF1(ins *ir.Instr, w uint8) bool {
@@ -490,22 +493,8 @@ func (e *eliminator) analyzeU32Z(d dataflow.DefSite) bool {
 		return false
 	}
 	ins := d.Instr
-	if v := e.u32Flags[ins]; v>>2 == e.gen {
-		switch int8(v & 3) {
-		case qInProgress, qTrue:
-			return true // in-progress: optimistic on cycles
-		case qFalse:
-			return false
-		}
-	}
-	e.u32Flags[ins] = e.gen<<2 | int64(qInProgress)
-	ok := e.analyzeU32Z1(ins)
-	if ok {
-		e.u32Flags[ins] = e.gen<<2 | int64(qTrue)
-	} else {
-		e.u32Flags[ins] = e.gen<<2 | int64(qFalse)
-	}
-	return ok
+	// In-progress: optimistic on cycles.
+	return e.memo(&e.u32Flags[ins.ID], true, func() bool { return e.analyzeU32Z1(ins) })
 }
 
 func (e *eliminator) analyzeU32Z1(ins *ir.Instr) bool {
@@ -601,25 +590,11 @@ func (e *eliminator) theoremHolds(d dataflow.DefSite, w uint8) bool {
 	if !e.spend() {
 		return false // out of budget: conservatively no theorem applies
 	}
-	if !d.IsParam() {
-		if v := e.arrFlags[d.Instr]; v>>2 == e.gen {
-			switch int8(v & 3) {
-			case qInProgress, qTrue:
-				return true // the paper's ARRAY flag: optimistic on cycles
-			case qFalse:
-				return false
-			}
-		}
-		e.arrFlags[d.Instr] = e.gen<<2 | int64(qInProgress)
-		ok := e.theoremHolds1(d, w)
-		if ok {
-			e.arrFlags[d.Instr] = e.gen<<2 | int64(qTrue)
-		} else {
-			e.arrFlags[d.Instr] = e.gen<<2 | int64(qFalse)
-		}
-		return ok
+	if d.IsParam() {
+		return e.theoremHolds1(d, w)
 	}
-	return e.theoremHolds1(d, w)
+	// The paper's ARRAY flag: optimistic on cycles.
+	return e.memo(&e.arrFlags[d.Instr.ID], true, func() bool { return e.theoremHolds1(d, w) })
 }
 
 func (e *eliminator) theoremHolds1(d dataflow.DefSite, w uint8) bool {

@@ -41,13 +41,13 @@ const Epsilon = 1e-9
 // Estimate holds per-block frequency estimates for one function.
 type Estimate struct {
 	Fn   *ir.Func
-	Freq map[*ir.Block]float64
+	Freq []float64 // block ID -> estimated frequency (0 when unreached)
 }
 
 // Compute produces the frequency estimate. profile may be nil (purely static
 // estimation).
 func Compute(fn *ir.Func, info *cfg.Info, profile BranchProfile) *Estimate {
-	e := &Estimate{Fn: fn, Freq: map[*ir.Block]float64{}}
+	e := &Estimate{Fn: fn, Freq: make([]float64, fn.NumBlockIDs())}
 
 	// Raw branch probability of each conditional edge, before normalization.
 	rawProb := func(b *ir.Block, succIdx int) float64 {
@@ -108,7 +108,7 @@ func Compute(fn *ir.Func, info *cfg.Info, profile BranchProfile) *Estimate {
 	// Propagate frequencies in RPO within the acyclic skeleton: ignore back
 	// edges, then multiply loop bodies by LoopScale per nesting level (or by
 	// the profiled trip count when available).
-	e.Freq[fn.Entry()] = 1
+	e.Freq[fn.Entry().ID] = 1
 	for _, b := range info.RPO {
 		if b == fn.Entry() {
 			continue
@@ -123,23 +123,23 @@ func Compute(fn *ir.Func, info *cfg.Info, profile BranchProfile) *Estimate {
 					continue preds
 				}
 			}
-			if !info.Reached[p] {
+			if !info.Reached[p.ID] {
 				continue
 			}
 			if info.Dominates(b, p) {
 				continue // back edge: handled by the loop multiplier
 			}
-			sum += e.Freq[p] * edgeMass(p, b, prob)
+			sum += e.Freq[p.ID] * edgeMass(p, b, prob)
 		}
-		e.Freq[b] = sum
+		e.Freq[b.ID] = sum
 	}
 	// Frequency floor: info.RPO holds exactly the blocks reachable from the
 	// entry, so this floors reached blocks (and only those) at Epsilon before
 	// loop scaling, preserving the relative ordering of nested zero-mass
 	// loop bodies.
 	for _, b := range info.RPO {
-		if e.Freq[b] == 0 {
-			e.Freq[b] = Epsilon
+		if e.Freq[b.ID] == 0 {
+			e.Freq[b.ID] = Epsilon
 		}
 	}
 	for _, b := range info.RPO {
@@ -148,7 +148,7 @@ func Compute(fn *ir.Func, info *cfg.Info, profile BranchProfile) *Estimate {
 		for i := 0; i < d; i++ {
 			scale *= LoopScale
 		}
-		e.Freq[b] *= scale
+		e.Freq[b.ID] *= scale
 	}
 
 	// Note the profile influences the estimate only through the branch
@@ -186,7 +186,7 @@ func edgeMass(p, b *ir.Block, prob func(*ir.Block, int) float64) float64 {
 func (e *Estimate) HotFirst() []*ir.Block {
 	out := append([]*ir.Block(nil), e.Fn.Blocks...)
 	sort.SliceStable(out, func(i, j int) bool {
-		fi, fj := e.Freq[out[i]], e.Freq[out[j]]
+		fi, fj := e.Freq[out[i].ID], e.Freq[out[j].ID]
 		if fi != fj {
 			return fi > fj
 		}

@@ -58,13 +58,13 @@ func TestStaticEstimate(t *testing.T) {
 	fn, hot, cold, exit, _ := buildIfInLoop()
 	info := cfg.Compute(fn)
 	e := Compute(fn, info, nil)
-	if e.Freq[hot] <= e.Freq[exit] || e.Freq[cold] <= e.Freq[exit] {
+	if e.Freq[hot.ID] <= e.Freq[exit.ID] || e.Freq[cold.ID] <= e.Freq[exit.ID] {
 		t.Fatalf("loop blocks must be hotter than the exit: hot=%g cold=%g exit=%g",
-			e.Freq[hot], e.Freq[cold], e.Freq[exit])
+			e.Freq[hot.ID], e.Freq[cold.ID], e.Freq[exit.ID])
 	}
 	// Statically the if arms split 50/50, so hot == cold.
-	if e.Freq[hot] != e.Freq[cold] {
-		t.Fatalf("static estimate should split evenly: %g vs %g", e.Freq[hot], e.Freq[cold])
+	if e.Freq[hot.ID] != e.Freq[cold.ID] {
+		t.Fatalf("static estimate should split evenly: %g vs %g", e.Freq[hot.ID], e.Freq[cold.ID])
 	}
 	order := e.HotFirst()
 	if order[len(order)-1] != exit && order[len(order)-2] != exit {
@@ -87,12 +87,12 @@ func TestProfileRefinesEstimate(t *testing.T) {
 	}
 	info := cfg.Compute(fn)
 	e := Compute(fn, info, res.Profile)
-	if e.Freq[hot] <= e.Freq[cold] {
-		t.Fatalf("profile must discover the skew: hot=%g cold=%g", e.Freq[hot], e.Freq[cold])
+	if e.Freq[hot.ID] <= e.Freq[cold.ID] {
+		t.Fatalf("profile must discover the skew: hot=%g cold=%g", e.Freq[hot.ID], e.Freq[cold.ID])
 	}
 	// 15/16 vs 1/16 split: the ratio should be large.
-	if e.Freq[hot] < 10*e.Freq[cold] {
-		t.Fatalf("profiled ratio too small: hot=%g cold=%g", e.Freq[hot], e.Freq[cold])
+	if e.Freq[hot.ID] < 10*e.Freq[cold.ID] {
+		t.Fatalf("profiled ratio too small: hot=%g cold=%g", e.Freq[hot.ID], e.Freq[cold.ID])
 	}
 }
 
@@ -148,12 +148,12 @@ func TestProfileEdgeMappingMatchesInterpreter(t *testing.T) {
 	// more often, so it must also be estimated hotter.
 	info := cfg.Compute(fn)
 	e := Compute(fn, info, res.Profile)
-	if e.Freq[hot] <= e.Freq[cold] {
+	if e.Freq[hot.ID] <= e.Freq[cold.ID] {
 		t.Fatalf("estimate disagrees with traced execution: hot=%g cold=%g",
-			e.Freq[hot], e.Freq[cold])
+			e.Freq[hot.ID], e.Freq[cold.ID])
 	}
 	ratioTraced := float64(entries[hot]) / float64(entries[cold])
-	ratioEst := e.Freq[hot] / e.Freq[cold]
+	ratioEst := e.Freq[hot.ID] / e.Freq[cold.ID]
 	if ratioEst < 0.5*ratioTraced || ratioEst > 2*ratioTraced {
 		t.Fatalf("estimated arm ratio %g far from traced ratio %g", ratioEst, ratioTraced)
 	}
@@ -210,10 +210,10 @@ func TestDuplicateEdgeMass(t *testing.T) {
 	info := cfg.Compute(fn)
 	e := Compute(fn, info, profile)
 
-	if got := e.Freq[dup]; math.Abs(got-0.7) > 1e-12 {
+	if got := e.Freq[dup.ID]; math.Abs(got-0.7) > 1e-12 {
 		t.Errorf("dup-edge block frequency = %g, want 0.7 (mass of both edges)", got)
 	}
-	if got := e.Freq[colder]; math.Abs(got-0.3) > 1e-12 {
+	if got := e.Freq[colder.ID]; math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("colder block frequency = %g, want 0.3", got)
 	}
 	rank := map[*ir.Block]int{}
@@ -222,7 +222,7 @@ func TestDuplicateEdgeMass(t *testing.T) {
 	}
 	if rank[dup] > rank[colder] {
 		t.Errorf("HotFirst ranks dup-edge block (%g) below colder block (%g)",
-			e.Freq[dup], e.Freq[colder])
+			e.Freq[dup.ID], e.Freq[colder.ID])
 	}
 }
 
@@ -279,14 +279,14 @@ func TestEpsilonFloorProfileStarved(t *testing.T) {
 	info := cfg.Compute(fn)
 	e := Compute(fn, info, profile)
 	for _, blk := range info.RPO {
-		if e.Freq[blk] <= 0 {
-			t.Errorf("reached block %s has frequency %g, want > 0", blk, e.Freq[blk])
+		if e.Freq[blk.ID] <= 0 {
+			t.Errorf("reached block %s has frequency %g, want > 0", blk, e.Freq[blk.ID])
 		}
 	}
 	// The floor is scaled by loop depth, so the never-entered loop body still
 	// ranks above the equally-starved straight-line code would.
-	if e.Freq[body] <= e.Freq[head]/LoopScale*0.99 {
-		t.Errorf("loop scaling lost on floored blocks: body=%g head=%g", e.Freq[body], e.Freq[head])
+	if e.Freq[body.ID] <= e.Freq[head.ID]/LoopScale*0.99 {
+		t.Errorf("loop scaling lost on floored blocks: body=%g head=%g", e.Freq[body.ID], e.Freq[head.ID])
 	}
 }
 
@@ -316,9 +316,9 @@ func TestProgenReachedBlocksPositive(t *testing.T) {
 				info := cfg.Compute(fn)
 				e := Compute(fn, info, ref.Profile)
 				for _, blk := range info.RPO {
-					if e.Freq[blk] <= 0 {
+					if e.Freq[blk.ID] <= 0 {
 						t.Errorf("seed %d kind %s fn %s: reached block %s has frequency %g",
-							seed, kind, fn.Name, blk, e.Freq[blk])
+							seed, kind, fn.Name, blk, e.Freq[blk.ID])
 					}
 				}
 			}
@@ -356,11 +356,11 @@ func TestSaturatedProfileNoOverflow(t *testing.T) {
 	profile := interp.Profile{"f": {br.ID: {math.MaxInt64, 1}}}
 	info := cfg.Compute(fn)
 	e := Compute(fn, info, profile)
-	if e.Freq[then] < 0.999 {
-		t.Errorf("saturated taken count ignored: then=%g (static fallback would give 0.5)", e.Freq[then])
+	if e.Freq[then.ID] < 0.999 {
+		t.Errorf("saturated taken count ignored: then=%g (static fallback would give 0.5)", e.Freq[then.ID])
 	}
-	if e.Freq[els] > 1e-3 {
-		t.Errorf("saturated profile fall arm = %g, want ~0", e.Freq[els])
+	if e.Freq[els.ID] > 1e-3 {
+		t.Errorf("saturated profile fall arm = %g, want ~0", e.Freq[els.ID])
 	}
 }
 
@@ -376,14 +376,14 @@ func TestProfileArmsNormalized(t *testing.T) {
 	profile := interp.Profile{"f": {br.ID: {2226407336114473942, 8407677068955557379}}}
 	info := cfg.Compute(fn)
 	e := Compute(fn, info, profile)
-	if got := e.Freq[then] + e.Freq[els]; got != 1 {
+	if got := e.Freq[then.ID] + e.Freq[els.ID]; got != 1 {
 		t.Errorf("arm probabilities sum to %.20g, want exactly 1", got)
 	}
-	if got := e.Freq[join]; got != 1 {
+	if got := e.Freq[join.ID]; got != 1 {
 		t.Errorf("diamond join frequency = %.20g, want exactly 1 (mass conserved)", got)
 	}
 	// Sanity: the skew itself must survive normalization.
-	if e.Freq[els] < 3*e.Freq[then] {
-		t.Errorf("normalization destroyed the profile skew: then=%g els=%g", e.Freq[then], e.Freq[els])
+	if e.Freq[els.ID] < 3*e.Freq[then.ID] {
+		t.Errorf("normalization destroyed the profile skew: then=%g els=%g", e.Freq[then.ID], e.Freq[els.ID])
 	}
 }

@@ -35,11 +35,13 @@ func VerifyFunc(fn *ir.Func, machine ir.Machine) error {
 	if err := verifyExtWidths(fn); err != nil {
 		return err
 	}
-	info := cfg.Compute(fn)
-	if err := verifyDefBeforeUse(fn, info); err != nil {
+	// One reaching-definitions solution serves both the def-before-use
+	// check and the chains.
+	r := dataflow.ComputeReaching(fn, cfg.Compute(fn))
+	if err := verifyDefBeforeUse(fn, r); err != nil {
 		return err
 	}
-	ch := chains.Build(fn, info)
+	ch := chains.FromReaching(fn, r)
 	if err := ch.Check(); err != nil {
 		return fmt.Errorf("%s: %w", fn.Name, err)
 	}
@@ -123,13 +125,12 @@ func verifyExtWidths(fn *ir.Func) error {
 	return err
 }
 
-// verifyDefBeforeUse checks, via the reaching-definitions solution, that
+// verifyDefBeforeUse checks, via the reaching-definitions solution r, that
 // every integer/float use in a reachable block is fed by at least one
 // definition (an instruction or an incoming parameter). A use with no
 // reaching definition means a phase moved or deleted a definition it should
 // not have — the classic symptom of a bad elimination order.
-func verifyDefBeforeUse(fn *ir.Func, info *cfg.Info) error {
-	r := dataflow.ComputeReaching(fn, info)
+func verifyDefBeforeUse(fn *ir.Func, r *dataflow.Reaching) error {
 	var err error
 	r.Walk(func(ins *ir.Instr, reaching dataflow.BitSet) {
 		if err != nil || ins.Op == ir.OpExtDummy {

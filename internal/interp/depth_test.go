@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"signext/internal/ir"
 	"signext/internal/minijava"
 )
 
@@ -73,5 +74,43 @@ func TestMaxDepthDeterministicAcrossModes(t *testing.T) {
 	_, err64 := Run(cu.Prog.Clone(), "main", Options{Mode: Mode32, MaxDepth: 100})
 	if err32 == nil || err64 == nil || err32.Error() != err64.Error() {
 		t.Fatalf("depth traps differ: %v vs %v", err32, err64)
+	}
+}
+
+// wideRecursionIR recurses without bound through a function whose register
+// file has 65001 slots: the depth bound alone would let it hold 10,000 such
+// frames (about 15 GiB).
+const wideRecursionIR = `
+func f(r0 i32) i32 {
+	b0:
+	r65000 = const 0
+	r1 = call f (r0)
+	ret.32 r1
+}
+
+func main() {
+	b0:
+	r0 = const 1
+	r1 = call f (r0)
+	print.32 r1
+	ret
+}
+`
+
+// TestLiveSlotsBounded: past MaxLiveSlots register slots across all frames
+// a call traps with ErrMemory, at the same call and with the same Result
+// under both dispatchers.
+func TestLiveSlotsBounded(t *testing.T) {
+	prog, err := ir.ParseProgram(wideRecursionIR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, th, swErr, thErr := runBoth(t, prog, Options{Mode: Mode32, Profile: true, CountCalls: true})
+	if !errors.Is(swErr, ErrMemory) {
+		t.Fatalf("err = %v, want ErrMemory", swErr)
+	}
+	assertIdentical(t, "wide recursion", sw, th, swErr, thErr)
+	if want := int64(MaxLiveSlots / 65001); sw.Calls["f"] != want {
+		t.Errorf("f entered %d times before the trap, want %d", sw.Calls["f"], want)
 	}
 }

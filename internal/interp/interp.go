@@ -119,6 +119,12 @@ type Options struct {
 // loop iteration), shallow enough that the Go stack stays modest.
 const DefaultMaxDepth = 10000
 
+// MaxLiveSlots bounds the register slots live across all frames of one run.
+// The depth bound alone would let a recursive function with a large
+// register file (registers go up to 2^16) hold gigabytes; past this bound
+// (about 96 MiB of register files) the call traps with ErrMemory instead.
+const MaxLiveSlots = 1 << 22
+
 // Result is the outcome of a run.
 type Result struct {
 	Output string
@@ -156,6 +162,7 @@ var (
 	ErrNoFunction = errors.New("interp: unknown function")
 	ErrTrap       = errors.New("interp: trap executed")
 	ErrDepth      = errors.New("interp: call depth exceeded")
+	ErrMemory     = errors.New("interp: register memory exceeded")
 )
 
 type array struct {
@@ -187,6 +194,7 @@ type machine struct {
 	res        Result
 	maxLen     int64
 	depth      int   // current call-frame depth
+	slots      int   // register slots live across all frames
 	maxDepth   int   // resolved Options.MaxDepth (<= 0 means unlimited)
 	traceLimit int64 // resolved Options.TraceLimit
 	threaded   bool  // token-threaded dispatch enabled for this run
@@ -252,7 +260,12 @@ func (m *machine) call(fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, erro
 	if m.maxDepth > 0 && m.depth >= m.maxDepth {
 		return slot{}, fmt.Errorf("%w: %d frames at call to %s", ErrDepth, m.depth, fn.Name)
 	}
+	if m.slots+fn.NReg > MaxLiveSlots {
+		return slot{}, fmt.Errorf("%w: %d live register slots at call to %s, which needs %d",
+			ErrMemory, m.slots, fn.Name, fn.NReg)
+	}
 	m.depth++
+	m.slots += fn.NReg
 	if m.res.Calls != nil {
 		m.res.Calls[fn.Name]++
 	}
@@ -269,6 +282,7 @@ func (m *machine) call(fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, erro
 	}
 	m.mode = prev
 	m.depth--
+	m.slots -= fn.NReg
 	return rv, err
 }
 

@@ -9,10 +9,14 @@ func (f *Func) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", f.Name)
 	}
-	seenID := map[int]bool{}
+	seenID := make([]bool, f.nextIID)
 	for _, b := range f.Blocks {
 		if b.Fn != f {
 			return fmt.Errorf("%s/%s: block has wrong Fn", f.Name, b)
+		}
+		if b.ID < 0 || b.ID >= f.nextBID {
+			// Analyses size dense per-block tables by NumBlockIDs.
+			return fmt.Errorf("%s/%s: block ID outside [0, %d)", f.Name, b, f.nextBID)
 		}
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("%s/%s: empty block", f.Name, b)
@@ -21,12 +25,12 @@ func (f *Func) Verify() error {
 			if ins.Blk != b {
 				return fmt.Errorf("%s/%s: instr %s has wrong Blk", f.Name, b, ins)
 			}
-			if seenID[ins.ID] {
-				return fmt.Errorf("%s/%s: duplicate instr ID %d", f.Name, b, ins.ID)
-			}
 			if ins.ID < 0 || ins.ID >= f.nextIID {
 				// Analyses size dense per-instruction tables by NumInstrIDs.
 				return fmt.Errorf("%s/%s: instr ID %d outside [0, %d)", f.Name, b, ins.ID, f.nextIID)
+			}
+			if seenID[ins.ID] {
+				return fmt.Errorf("%s/%s: duplicate instr ID %d", f.Name, b, ins.ID)
 			}
 			seenID[ins.ID] = true
 			if ins.IsTerminator() != (k == len(b.Instrs)-1) {

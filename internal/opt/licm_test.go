@@ -105,7 +105,7 @@ func licmWithChains(fn *ir.Func, info *cfg.Info) int {
 		}
 		defsInLoop := map[ir.Reg]int{}
 		for _, b := range info.RPO {
-			if !l.Blocks[b] {
+			if !l.Blocks[b.ID] {
 				continue
 			}
 			for _, ins := range b.Instrs {
@@ -116,7 +116,7 @@ func licmWithChains(fn *ir.Func, info *cfg.Info) int {
 		}
 		hoisted := 0
 		for _, b := range info.RPO {
-			if !l.Blocks[b] {
+			if !l.Blocks[b.ID] {
 				continue
 			}
 			var hoist []*ir.Instr
@@ -134,7 +134,7 @@ func licmWithChains(fn *ir.Func, info *cfg.Info) int {
 						invariant = false
 					}
 					for _, d := range defs {
-						if !d.IsParam() && l.Blocks[d.Instr.Blk] {
+						if !d.IsParam() && l.Contains(d.Instr.Blk) {
 							invariant = false
 						}
 					}

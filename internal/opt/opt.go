@@ -336,6 +336,7 @@ func licm(fn *ir.Func, info *cfg.Info) (int, *dataflow.Liveness) {
 	}
 	reach := dataflow.ComputeReaching(fn, info)
 	lv := dataflow.ComputeLiveness(fn, info)
+	defsInLoop := make([]int, fn.NReg) // register -> definitions in the loop
 	n := 0
 	for _, l := range info.Loops {
 		pre := l.Preheader()
@@ -351,13 +352,11 @@ func licm(fn *ir.Func, info *cfg.Info) (int, *dataflow.Liveness) {
 			}
 			return false
 		}
-		// Count in-loop definitions per register. Loop membership is a set;
-		// iterate the RPO so hoisted instructions land in the preheader in a
-		// deterministic order (map-range order varies between runs and would
-		// make two compiles of the same input print different IR).
-		defsInLoop := map[ir.Reg]int{}
+		// Count in-loop definitions per register, walking the RPO so hoisted
+		// instructions land in the preheader in a deterministic order.
+		clear(defsInLoop)
 		for _, b := range info.RPO {
-			if !l.Blocks[b] {
+			if !l.Blocks[b.ID] {
 				continue
 			}
 			for _, ins := range b.Instrs {
@@ -368,7 +367,7 @@ func licm(fn *ir.Func, info *cfg.Info) (int, *dataflow.Liveness) {
 		}
 		hoisted := 0
 		for _, b := range info.RPO {
-			if !l.Blocks[b] {
+			if !l.Blocks[b.ID] {
 				continue
 			}
 			var hoist []*ir.Instr

@@ -398,3 +398,26 @@ func TestMaxStepsClamped(t *testing.T) {
 		t.Fatalf("max_steps %d ran %d steps, no fewer than the cap's %d", limit/2, under.Steps, atCap.Steps)
 	}
 }
+
+// TestRegisterMemoryTrapAnswered200 pins the interpreter's live-register
+// bound at the daemon: unbounded recursion through a function with a 65001
+// slot register file is a runtime trap, answered 200 with the trap in the
+// body, not a server that allocates gigabytes.
+func TestRegisterMemoryTrapAnswered200(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	const prog = "func f(r0 i32) i32 {\nb0:\n\tr65000 = const 0\n\tr1 = call f (r0)\n\tret.32 r1\n}\n" +
+		"func main() {\nb0:\n\tr0 = const 1\n\tr1 = call f (r0)\n\tprint.32 r1\n\tret\n}\n"
+	body, err := json.Marshal(CompileRequest{IR: prog, Run: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", bytes.NewReader(body)))
+	var resp CompileResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s (%v)", rec.Code, rec.Body, err)
+	}
+	if !strings.Contains(resp.Trap, interp.ErrMemory.Error()) {
+		t.Fatalf("trap %q, want the register-memory trap", resp.Trap)
+	}
+}

@@ -96,22 +96,43 @@ func shlExact(v int64, n uint) (int64, bool) {
 }
 
 // Analysis holds the fixpoint solution for one function.
+//
+// Its tables are slices indexed by instruction ID, operand slot (from the
+// chains) and block ID, all sized at Compute time. An instruction created
+// later has no range, and its operands are answered without memoization.
 type Analysis struct {
 	fn     *ir.Func
 	ch     *chains.Chains
 	info   *cfg.Info
 	mach   ir.Machine
 	maxLen int64
-	defs   map[*ir.Instr]Range
-	bumpLo map[*ir.Instr]int
-	bumpHi map[*ir.Instr]int
-	sites  map[blockReg][]condSite
-	prefix map[useKey]bool // memo: query operand has an earlier in-block semantic def
+	defs   []defState    // instruction ID -> fixpoint state of its destination
+	opMemo []operandMemo // operand slot -> dominating conditions that apply
+	sites  [][]regSites  // block ID -> condSites memo, one entry per register
+	visit  []uint32      // block ID -> stamp of the last regReachesWithoutD visit
+	stamp  uint32
+	stack  []*ir.Block
 }
 
-type useKey struct {
-	ins *ir.Instr
-	op  int
+// defState is one definition's range plus its widening counters.
+type defState struct {
+	r              Range
+	seen           bool // r holds a value
+	bumpLo, bumpHi uint8
+}
+
+// operandMemo caches, for one operand, the branch conditions that refine it
+// at its instruction; nil sites when none do or an earlier definition in the
+// block blocks them.
+type operandMemo struct {
+	done  bool
+	sites []condSite
+}
+
+// regSites caches condSites for one register at one block.
+type regSites struct {
+	reg   ir.Reg
+	sites []condSite
 }
 
 const widenAfter = 8
@@ -127,9 +148,7 @@ func Compute(fn *ir.Func, ch *chains.Chains, info *cfg.Info, mach ir.Machine, ma
 		info:   info,
 		mach:   mach,
 		maxLen: maxLen,
-		defs:   map[*ir.Instr]Range{},
-		bumpLo: map[*ir.Instr]int{},
-		bumpHi: map[*ir.Instr]int{},
+		defs:   make([]defState, fn.NumInstrIDs()),
 	}
 	if a.maxLen == 0 {
 		a.maxLen = math.MaxInt32
@@ -141,7 +160,8 @@ func Compute(fn *ir.Func, ch *chains.Chains, info *cfg.Info, mach ir.Machine, ma
 				return
 			}
 			nr := a.transfer(ins)
-			old, seen := a.defs[ins]
+			d := &a.defs[ins.ID]
+			old, seen := d.r, d.seen
 			if seen {
 				nr = nr.Union(old) // monotone growth
 			}
@@ -150,19 +170,19 @@ func Compute(fn *ir.Func, ch *chains.Chains, info *cfg.Info, mach ir.Machine, ma
 				// counter's zero floor) survive widening.
 				full := a.fullFor(ins.W)
 				if seen && nr.Lo < old.Lo {
-					a.bumpLo[ins]++
-					if a.bumpLo[ins] > widenAfter {
+					d.bumpLo++
+					if d.bumpLo > widenAfter {
 						nr.Lo = full.Lo
 					}
 				}
 				if seen && nr.Hi > old.Hi {
-					a.bumpHi[ins]++
-					if a.bumpHi[ins] > widenAfter {
+					d.bumpHi++
+					if d.bumpHi > widenAfter {
 						nr.Hi = full.Hi
 					}
 				}
 				if !seen || nr != old {
-					a.defs[ins] = nr
+					d.r, d.seen = nr, true
 					changed = true
 				}
 			}
@@ -183,9 +203,10 @@ func Compute(fn *ir.Func, ch *chains.Chains, info *cfg.Info, mach ir.Machine, ma
 			if !ins.HasDst() {
 				return
 			}
-			nr := a.transfer(ins).Intersect(a.defs[ins])
-			if !nr.IsBottom() && nr != a.defs[ins] {
-				a.defs[ins] = nr
+			d := &a.defs[ins.ID]
+			nr := a.transfer(ins).Intersect(d.r)
+			if !nr.IsBottom() && nr != d.r {
+				d.r = nr
 				changed = true
 			}
 		})
@@ -212,7 +233,7 @@ func (a *Analysis) OfDef(d dataflow.DefSite) Range {
 		}
 		return a.fullFor(p.W)
 	}
-	if r, ok := a.defs[d.Instr]; ok {
+	if r, ok := a.OfDefRange(d.Instr); ok {
 		return r
 	}
 	// Not yet visited by the fixpoint: optimistic bottom, so cyclic
@@ -224,8 +245,10 @@ func (a *Analysis) OfDef(d dataflow.DefSite) Range {
 // OfDefRange returns the computed range of an instruction's destination and
 // whether one exists.
 func (a *Analysis) OfDefRange(ins *ir.Instr) (Range, bool) {
-	r, ok := a.defs[ins]
-	return r, ok
+	if ins.ID < 0 || ins.ID >= len(a.defs) || !a.defs[ins.ID].seen {
+		return Range{}, false
+	}
+	return a.defs[ins.ID].r, true
 }
 
 // OfOperand returns the union of the ranges of every definition reaching the
@@ -252,11 +275,6 @@ type condSite struct {
 	negated bool
 }
 
-type blockReg struct {
-	blk *ir.Block
-	reg ir.Reg
-}
-
 // OfOperandAt returns the operand's range refined by every branch condition
 // that dominates the instruction: an edge D→S contributes when S dominates
 // the query block, S's other predecessors are back edges (dominated by S),
@@ -272,30 +290,7 @@ func (a *Analysis) OfOperandAt(ins *ir.Instr, op int) Range {
 	if a.info == nil || ins.Blk == nil {
 		return base
 	}
-	reg := ins.UseAt(op)
-	// Semantic definitions of reg earlier in the query block invalidate
-	// every dominating condition (memoized: block layout is stable while
-	// the analysis is alive).
-	if a.prefix == nil {
-		a.prefix = map[useKey]bool{}
-	}
-	blocked, seen := a.prefix[useKey{ins, op}]
-	if !seen {
-		for _, x := range ins.Blk.Instrs {
-			if x == ins {
-				break
-			}
-			if semanticDef(x, reg) {
-				blocked = true
-				break
-			}
-		}
-		a.prefix[useKey{ins, op}] = blocked
-	}
-	if blocked {
-		return base
-	}
-	for _, site := range a.condSites(ins.Blk, reg) {
+	for _, site := range a.operandSites(ins, op) {
 		cond := site.t.Cond
 		if site.negated {
 			cond = cond.Negate()
@@ -304,6 +299,41 @@ func (a *Analysis) OfOperandAt(ins *ir.Instr, op int) Range {
 		base = refineByCond(base, cond, site.side == 1, other, site.t.W)
 	}
 	return base
+}
+
+// operandSites returns the dominating branch conditions that apply to
+// operand op of ins. Semantic definitions of the register earlier in the
+// query block invalidate every one of them. The answer is memoized per
+// operand: block layout is stable while the analysis is alive.
+func (a *Analysis) operandSites(ins *ir.Instr, op int) []condSite {
+	k, memo := a.ch.OperandSlot(ins, op)
+	if memo {
+		if a.opMemo == nil {
+			a.opMemo = make([]operandMemo, a.ch.NumOperandSlots())
+		}
+		if m := a.opMemo[k]; m.done {
+			return m.sites
+		}
+	}
+	reg := ins.UseAt(op)
+	var sites []condSite
+	blocked := false
+	for _, x := range ins.Blk.Instrs {
+		if x == ins {
+			break
+		}
+		if semanticDef(x, reg) {
+			blocked = true
+			break
+		}
+	}
+	if !blocked {
+		sites = a.condSites(ins.Blk, reg)
+	}
+	if memo {
+		a.opMemo[k] = operandMemo{done: true, sites: sites}
+	}
+	return sites
 }
 
 // semanticDef reports whether ins changes the semantic (low-32-bit signed)
@@ -327,16 +357,15 @@ func semanticDef(ins *ir.Instr, reg ir.Reg) bool {
 // fixpoint) the dominating branch conditions applicable to reg at block B.
 func (a *Analysis) condSites(b *ir.Block, reg ir.Reg) []condSite {
 	if a.sites == nil {
-		a.sites = map[blockReg][]condSite{}
+		a.sites = make([][]regSites, len(a.info.IDom))
 	}
-	key := blockReg{b, reg}
-	if s, ok := a.sites[key]; ok {
-		return s
+	for _, rs := range a.sites[b.ID] {
+		if rs.reg == reg {
+			return rs.sites
+		}
 	}
 	var out []condSite
-	seen := map[*ir.Block]bool{}
-	for d := b; d != nil && !seen[d]; d = a.info.IDom[d] {
-		seen[d] = true
+	for d := b; d != nil; d = a.idom(d) {
 		t := d.Term()
 		if t == nil || t.Op != ir.OpBr || len(d.Succs) != 2 || d.Succs[0] == d.Succs[1] {
 			continue
@@ -368,8 +397,17 @@ func (a *Analysis) condSites(b *ir.Block, reg ir.Reg) []condSite {
 			}
 		}
 	}
-	a.sites[key] = out
+	a.sites[b.ID] = append(a.sites[b.ID], regSites{reg, out})
 	return out
+}
+
+// idom returns d's immediate dominator, or nil at the entry (its own
+// dominator) and at unreached blocks.
+func (a *Analysis) idom(d *ir.Block) *ir.Block {
+	if p := a.info.IDom[d.ID]; p != d {
+		return p
+	}
+	return nil
 }
 
 // regReachesWithoutD reports whether some semantic definition of reg reaches
@@ -381,30 +419,45 @@ func (a *Analysis) regReachesWithoutD(b, d *ir.Block, reg ir.Reg) bool {
 	// blocks containing semantic defs of reg. b itself is scanned in full if
 	// a cycle re-reaches it: a definition anywhere in b then lies between d
 	// and the query on some d-free path.
-	seen := map[*ir.Block]bool{}
-	stack := []*ir.Block{}
-	for _, p := range b.Preds {
-		if p != d && !seen[p] {
-			seen[p] = true
-			stack = append(stack, p)
-		}
+	if a.visit == nil {
+		a.visit = make([]uint32, len(a.info.IDom))
 	}
+	// Visited blocks carry this query's stamp, so the table is cleared only
+	// when the stamp wraps.
+	if a.stamp++; a.stamp == 0 {
+		clear(a.visit)
+		a.stamp = 1
+	}
+	stack := a.pushPreds(a.stack[:0], b, d)
+	found := false
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, insX := range x.Instrs {
 			if semanticDef(insX, reg) {
-				return true
+				found = true
+				break
 			}
 		}
-		for _, p := range x.Preds {
-			if p != d && !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
+		if found {
+			break
+		}
+		stack = a.pushPreds(stack, x, d)
+	}
+	a.stack = stack[:0]
+	return found
+}
+
+// pushPreds appends x's predecessors other than d that the current
+// regReachesWithoutD query has not visited yet.
+func (a *Analysis) pushPreds(stack []*ir.Block, x, d *ir.Block) []*ir.Block {
+	for _, p := range x.Preds {
+		if p != d && a.visit[p.ID] != a.stamp {
+			a.visit[p.ID] = a.stamp
+			stack = append(stack, p)
 		}
 	}
-	return false
+	return stack
 }
 
 // refineByCond intersects base with the constraint "x cond other" (or
